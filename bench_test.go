@@ -209,7 +209,11 @@ func benchDistillServer(b *testing.B, teachersPerIter int, sequential bool) {
 	}
 	zoo := fedzkt.SmallZoo()
 	for i := 0; i < 100; i++ {
-		if _, err := srv.RegisterSized(zoo[i%len(zoo)], nil, 1+i%7); err != nil {
+		// Explicit initial states, as the coordinator registers them, so
+		// no timed iteration pays a virgin slot's first-touch rebuild.
+		arch := zoo[i%len(zoo)]
+		sd := nn.CaptureState(model.MustBuild(arch, model.Shape{C: 1, H: 8, W: 8}, 4, tensor.NewRand(uint64(i))))
+		if _, err := srv.RegisterSized(arch, sd, 1+i%7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,28 +238,10 @@ func BenchmarkServerDistill100FullEnsemble(b *testing.B) { benchDistillServer(b,
 // ≥ 4-core host.
 func BenchmarkServerDistill100FullEnsembleSerial(b *testing.B) { benchDistillServer(b, 0, true) }
 
-// BenchmarkServerDistill100FullEnsembleFast is the full ensemble under
-// -fast-math kernels (FMA, relaxed accumulation order): the exact-vs-fast
-// column of the bench table. Results are not byte-comparable to the
-// exact arms.
-func BenchmarkServerDistill100FullEnsembleFast(b *testing.B) {
-	tensor.SetFastMath(true)
-	defer tensor.SetFastMath(false)
-	benchDistillServer(b, 0, false)
-}
-
 // BenchmarkServerDistill100Teachers8 samples 8 teachers per iteration
 // (and an 8-wide rotating transfer-back window). The acceptance bar for
 // the cohort refactor is ≥ 5× over the full ensemble at 100 replicas.
 func BenchmarkServerDistill100Teachers8(b *testing.B) { benchDistillServer(b, 8, false) }
-
-// BenchmarkServerDistill100Teachers8Fast is the sampled arm under
-// -fast-math kernels.
-func BenchmarkServerDistill100Teachers8Fast(b *testing.B) {
-	tensor.SetFastMath(true)
-	defer tensor.SetFastMath(false)
-	benchDistillServer(b, 8, false)
-}
 
 // BenchmarkServerDistill100Teachers8NoObs is the sampled arm with the
 // observability layer's span recording switched off. The pair
@@ -332,7 +318,11 @@ func benchCohortMemory(b *testing.B, codecName string) {
 		}
 		zoo := fedzkt.SmallZoo()
 		for d := 0; d < 100; d++ {
-			if _, err := srv.RegisterSized(zoo[d%len(zoo)], nil, 1+d%7); err != nil {
+			// Explicit initial states, as the coordinator registers them: a
+			// virgin (nil-state) slot holds no bytes until first touched.
+			arch := zoo[d%len(zoo)]
+			sd := nn.CaptureState(model.MustBuild(arch, model.Shape{C: 1, H: 8, W: 8}, 4, tensor.NewRand(uint64(d))))
+			if _, err := srv.RegisterSized(arch, sd, 1+d%7); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -421,23 +411,6 @@ func BenchmarkLocalStepArenaNoObs(b *testing.B) {
 // --- Substrate micro-benchmarks ---
 
 func BenchmarkMatMul128(b *testing.B) {
-	rng := tensor.NewRand(1)
-	x := tensor.New(128, 128)
-	y := tensor.New(128, 128)
-	tensor.FillNormal(x, 0, 1, rng)
-	tensor.FillNormal(y, 0, 1, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(x, y)
-	}
-}
-
-// BenchmarkMatMul128Fast is BenchmarkMatMul128 under the fast-math
-// kernels (hardware FMA where available, relaxed accumulation order) —
-// the per-kernel exact-vs-fast delta of the bench table.
-func BenchmarkMatMul128Fast(b *testing.B) {
-	tensor.SetFastMath(true)
-	defer tensor.SetFastMath(false)
 	rng := tensor.NewRand(1)
 	x := tensor.New(128, 128)
 	y := tensor.New(128, 128)

@@ -46,7 +46,6 @@ func run(args []string) error {
 		sampleK  = fs.Int("sample-k", 0, "sample exactly K clients per round (uniform-K; 0 keeps each experiment's policy)")
 		deadline = fs.Duration("round-deadline", 0, "per-round wall-clock budget; late devices are dropped from aggregation (0 = none)")
 		workers  = fs.Int("workers", 0, "scheduler worker-pool size (0 = GOMAXPROCS)")
-		fastMath = fs.Bool("fast-math", false, "relaxed-numerics kernels: FMA and parallel k-reductions with relaxed accumulation order; faster, but results stop being byte-reproducible against exact-mode runs")
 
 		teachersPerIter = fs.Int("teachers-per-iter", 0, "server: replica teachers sampled per distillation iteration (0 = paper-exact full ensemble; -exp scale always compares full vs sampled and sizes the sampled arm with this, defaulting to 8)")
 		teacherSampling = fs.String("teacher-sampling", "", "server: teacher-subset policy, uniform or weighted (by device data size)")
@@ -109,14 +108,6 @@ func run(args []string) error {
 	}
 	if *shardCount < 0 || *hotSet < 0 {
 		return fmt.Errorf("-shards and -hot-set must be >= 0")
-	}
-	if *fastMath {
-		// Fast math trades byte-reproducibility for speed: warn loudly so a
-		// run meant to reproduce a recorded golden fingerprint is not
-		// silently invalidated.
-		fmt.Fprintln(os.Stderr, "fedzkt: -fast-math enabled: FMA and relaxed accumulation order are in effect; run fingerprints will NOT match exact-mode (golden) recordings")
-		fedzkt.SetFastMath(true)
-		defer fedzkt.SetFastMath(false)
 	}
 	// The memprofile defer is registered first so it unwinds last —
 	// the CPU profile stops before the exit GC and allocation snapshot,

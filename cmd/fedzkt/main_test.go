@@ -3,8 +3,6 @@ package main
 import (
 	"reflect"
 	"testing"
-
-	fedzkt "github.com/fedzkt/fedzkt"
 )
 
 func TestParseDevices(t *testing.T) {
@@ -61,23 +59,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	// Flag validation must run before any experiment work, so the bad
 	// combination errors even with an otherwise valid experiment.
-	if err := run([]string{"-exp", "table1", "-fast-math", "-workers", "-1"}); err == nil {
-		t.Fatal("negative -workers accepted alongside -fast-math")
-	}
-}
-
-// TestFastMathFlagTogglesAndRestores checks -fast-math flips the kernel
-// mode for the run and restores exact mode on exit (even on an error
-// path), so a later golden run in the same process stays exact.
-func TestFastMathFlagTogglesAndRestores(t *testing.T) {
-	if fedzkt.FastMath() {
-		t.Fatal("fast math unexpectedly on at test start")
-	}
-	// -list exits before experiments run but after flag handling.
-	if err := run([]string{"-fast-math", "-list"}); err != nil {
-		t.Fatal(err)
-	}
-	if fedzkt.FastMath() {
-		t.Fatal("fast math left enabled after run returned")
+	if err := run([]string{"-exp", "table1", "-workers", "-1"}); err == nil {
+		t.Fatal("negative -workers accepted")
 	}
 }

@@ -26,7 +26,7 @@
 // devices on bounded-stale parameters (see README "Pipelined rounds").
 //
 // With -state-codec float16 or int8 the server keeps every replica slot
-// as a quantised buffer (2 or 1 bytes per element instead of 8) and the
+// as a quantised container (2 or 1 bytes per element instead of 8) and the
 // simulated wire carries the same compact payloads — the memory/traffic
 // lever compounds with the spill tier (see README "Compressed state").
 //
@@ -79,7 +79,6 @@ func main() {
 		failRate = flag.Float64("fail-rate", 0.05, "injected per-device-round failure probability")
 		weighted = flag.Bool("weighted", false, "weight client sampling by shard size")
 		seed     = flag.Uint64("seed", 42, "random seed")
-		fastMath = flag.Bool("fast-math", false, "relaxed-numerics kernels (FMA, relaxed accumulation order); faster, not byte-reproducible against exact-mode runs")
 
 		teachersPerIter = flag.Int("teachers-per-iter", 8, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
 		teacherSampling = flag.String("teacher-sampling", "uniform", "teacher-subset policy: uniform or weighted (by device data size)")
@@ -151,11 +150,6 @@ func main() {
 			log.Fatal(err)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *fastMath {
-		fedzkt.SetFastMath(true)
-		fmt.Printf("fast-math kernels on (hardware FMA: %v) — results are not byte-reproducible against exact mode\n", fedzkt.FastMathFMA())
 	}
 
 	// Beyond the auto-scale threshold, default to the bounded-memory

@@ -191,22 +191,6 @@ func PartitionDirichlet(labels []int, numClasses, k int, beta float64, seed uint
 // Evaluate reports a device model's test accuracy.
 func Evaluate(d *Device, ds *Dataset) float64 { return fed.Evaluate(d.Model, ds, 64) }
 
-// SetFastMath toggles the relaxed-numerics kernel mode process-wide
-// (default off). On, matmuls may use hardware FMA and parallel
-// k-reductions with relaxed accumulation order — measurably faster, but
-// run results stop being byte-reproducible against exact-mode runs and
-// recorded golden fingerprints. Safe whenever only statistical quality
-// matters (accuracy, loss curves); keep it off for determinism tests,
-// fingerprint comparisons, and cross-machine reproduction.
-func SetFastMath(on bool) { tensor.SetFastMath(on) }
-
-// FastMath reports whether the relaxed-numerics kernels are active.
-func FastMath() bool { return tensor.FastMath() }
-
-// FastMathFMA reports whether hardware fused-multiply-add kernels back
-// the fast mode on this CPU.
-func FastMathFMA() bool { return tensor.FastMathFMA() }
-
 // Baseline types (internal/baseline).
 type (
 	// FedMD is the public-dataset federated distillation baseline.

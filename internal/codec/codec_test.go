@@ -337,11 +337,22 @@ func TestDecodeInto(t *testing.T) {
 	if err := DecodeInto(enc, extra); err == nil {
 		t.Fatal("want error for destination tensor absent from container")
 	}
-	// Length mismatch.
+	// Length mismatch in the last tensor: the whole container is checked
+	// first, so no earlier tensor is written either.
 	wrong := sd.Clone()
+	for _, tt := range wrong {
+		tt.Zero()
+	}
 	wrong["scalar"] = tensor.New(3)
 	if err := DecodeInto(enc, wrong); err == nil {
 		t.Fatal("want error for element-count mismatch")
+	}
+	for name, tt := range wrong {
+		for _, v := range tt.Data() {
+			if v != 0 {
+				t.Fatalf("failed DecodeInto wrote tensor %q", name)
+			}
+		}
 	}
 }
 

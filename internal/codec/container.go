@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -46,10 +47,56 @@ const (
 // allocation.
 const maxDim = 1 << 40
 
+// payloadLen is the byte length of a numel-element tensor payload in
+// dtype; ok is false for an unknown dtype.
+func payloadLen(dtype byte, numel int) (n int, ok bool) {
+	switch dtype {
+	case dtFloat64:
+		return 8 * numel, true
+	case dtFloat16:
+		return 2 * numel, true
+	case dtInt8:
+		return 16 + numel, true
+	}
+	return 0, false
+}
+
+// uvarintLen is the encoded length of v as an unsigned varint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // appendContainer writes sd as a container with the given dtype for every
-// tensor.
+// tensor. A first pass validates the tensors and sums the container size,
+// so the buffer grows at most once and the payloads are written in place.
 func appendContainer(dst []byte, sd nn.StateDict, dtype byte) ([]byte, error) {
 	names := sd.Names()
+	size := len(containerMagic) + 1 + uvarintLen(uint64(len(names)))
+	for _, n := range names {
+		t := sd[n]
+		shape := t.Shape()
+		size += uvarintLen(uint64(len(n))) + len(n) + 1 + uvarintLen(uint64(len(shape)))
+		for _, d := range shape {
+			// Mirror the reader's validation: emitting a shape the
+			// decoder rejects would turn an impossible tensor into an
+			// undecodable slot. (tensor constructors already forbid
+			// non-positive dims, so this is pure defence in depth.)
+			if d <= 0 {
+				return nil, fmt.Errorf("codec: tensor %q has non-positive dimension in shape %v", n, shape)
+			}
+			size += uvarintLen(uint64(d))
+		}
+		pl, ok := payloadLen(dtype, t.Len())
+		if !ok {
+			return nil, fmt.Errorf("codec: unknown dtype %d", dtype)
+		}
+		size += pl
+	}
+	dst = slices.Grow(dst, size)
 	dst = append(dst, containerMagic[:]...)
 	dst = append(dst, containerVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(names)))
@@ -61,42 +108,37 @@ func appendContainer(dst []byte, sd nn.StateDict, dtype byte) ([]byte, error) {
 		shape := t.Shape()
 		dst = binary.AppendUvarint(dst, uint64(len(shape)))
 		for _, d := range shape {
-			// Mirror the reader's validation: emitting a shape the
-			// decoder rejects would turn an impossible tensor into an
-			// undecodable slot. (tensor constructors already forbid
-			// non-positive dims, so this is pure defence in depth.)
-			if d <= 0 {
-				return nil, fmt.Errorf("codec: tensor %q has non-positive dimension in shape %v", n, shape)
-			}
 			dst = binary.AppendUvarint(dst, uint64(d))
 		}
 		data := t.Data()
+		pl, _ := payloadLen(dtype, len(data))
+		out := dst[len(dst) : len(dst)+pl]
 		switch dtype {
 		case dtFloat64:
-			for _, v := range data {
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+			for i, v := range data {
+				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 			}
 		case dtFloat16:
-			for _, v := range data {
-				dst = binary.LittleEndian.AppendUint16(dst, halfFromFloat64(v))
+			for i, v := range data {
+				binary.LittleEndian.PutUint16(out[2*i:], halfFromFloat64(v))
 			}
 		case dtInt8:
-			dst = appendInt8Tensor(dst, data)
-		default:
-			return nil, fmt.Errorf("codec: unknown dtype %d", dtype)
+			putInt8Tensor(out, data)
 		}
+		dst = dst[:len(dst)+pl]
 	}
 	return dst, nil
 }
 
-// appendInt8Tensor writes the per-tensor affine header (offset, step) and
-// one quantised byte per element. The grid spans [min, max] of the tensor
-// with 256 levels: step = (max−min)/255, quantised q = round((v−offset)/step),
-// decoded v′ = offset + q·step, so the worst-case error is step/2. Decoded
+// putInt8Tensor writes the per-tensor affine header (offset, step) and
+// one quantised byte per element into out (16 + len(data) bytes). The
+// grid spans [min, max] of the tensor with 256 levels: step =
+// (max−min)/255, quantised q = round((v−offset)/step), decoded
+// v′ = offset + q·step, so the worst-case error is step/2. Decoded
 // values never fall below the tensor's minimum (q·step is non-negative),
 // so a non-negative tensor can never decode to a negative value; the top
 // of the range may overshoot the maximum by one rounding ulp.
-func appendInt8Tensor(dst []byte, data []float64) []byte {
+func putInt8Tensor(out []byte, data []float64) {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range data {
 		if v < lo {
@@ -126,12 +168,11 @@ func appendInt8Tensor(dst []byte, data []float64) []byte {
 		// subtracting. The quantised grid is unchanged up to rounding.
 		step = hi/255 - lo/255
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(lo))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(step))
-	for _, v := range data {
-		dst = append(dst, quantise(v, lo, step))
+	binary.LittleEndian.PutUint64(out, math.Float64bits(lo))
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(step))
+	for i, v := range data {
+		out[16+i] = quantise(v, lo, step)
 	}
-	return dst
 }
 
 // quantise maps v onto the affine grid (offset lo, step), clamped to
@@ -233,24 +274,17 @@ func walkContainer(b []byte, fn func(e entry) error) error {
 			}
 			numel *= int(dim)
 		}
-		var payloadLen int
-		switch dtype {
-		case dtFloat64:
-			payloadLen = 8 * numel
-		case dtFloat16:
-			payloadLen = 2 * numel
-		case dtInt8:
-			payloadLen = 16 + numel
-		default:
+		pl, ok := payloadLen(dtype, numel)
+		if !ok {
 			return fmt.Errorf("codec: corrupt container: unknown dtype %d for %q", dtype, name)
 		}
-		if payloadLen > len(rest) {
-			return fmt.Errorf("codec: corrupt container: %q payload truncated (%d of %d bytes)", name, len(rest), payloadLen)
+		if pl > len(rest) {
+			return fmt.Errorf("codec: corrupt container: %q payload truncated (%d of %d bytes)", name, len(rest), pl)
 		}
-		if err := fn(entry{name: name, dtype: dtype, shape: shape, numel: numel, payload: rest[:payloadLen]}); err != nil {
+		if err := fn(entry{name: name, dtype: dtype, shape: shape, numel: numel, payload: rest[:pl]}); err != nil {
 			return err
 		}
-		rest = rest[payloadLen:]
+		rest = rest[pl:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("codec: corrupt container: %d trailing bytes", len(rest))
@@ -306,9 +340,11 @@ func Decode(b []byte) (nn.StateDict, error) {
 // nothing per element. The container must hold exactly dst's names with
 // matching element counts (shapes may differ in rank, mirroring the
 // reshaped-copy semantics of tensor.CopyFrom), so drifted architectures
-// fail loudly.
+// fail loudly. The whole container is checked before the first element
+// is written, so on error dst is unchanged.
 func DecodeInto(b []byte, dst nn.StateDict) error {
-	decoded := 0
+	var buf [32]entry // room for a typical model state without a heap allocation
+	matched := buf[:0]
 	err := walkContainer(b, func(e entry) error {
 		t, ok := dst[e.name]
 		if !ok {
@@ -317,15 +353,17 @@ func DecodeInto(b []byte, dst nn.StateDict) error {
 		if t.Len() != e.numel {
 			return fmt.Errorf("codec: tensor %q length mismatch: container has %d elements, destination %d", e.name, e.numel, t.Len())
 		}
-		decodePayload(e, t.Data())
-		decoded++
+		matched = append(matched, e)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if decoded != len(dst) {
-		return fmt.Errorf("codec: container holds %d of the destination's %d tensors", decoded, len(dst))
+	if len(matched) != len(dst) {
+		return fmt.Errorf("codec: container holds %d of the destination's %d tensors", len(matched), len(dst))
+	}
+	for _, e := range matched {
+		decodePayload(e, dst[e.name].Data())
 	}
 	return nil
 }

@@ -187,15 +187,17 @@ func (d *Device) UploadPayload(c codec.Codec) ([]byte, int, error) {
 	return b, sd.Numel(), nil
 }
 
-// DownloadPayload decodes a codec container received from the server and
-// installs it as Download does. The container is self-describing, so no
-// codec handle is needed on the receive side.
+// DownloadPayload decodes a codec container received from the server
+// straight into the device model and snapshots it as the new proximal
+// anchor, as Download does. The container is self-describing, so no
+// codec handle is needed on the receive side; a malformed or mismatched
+// container leaves the model unchanged.
 func (d *Device) DownloadPayload(b []byte) error {
-	sd, err := codec.Decode(b)
-	if err != nil {
+	if err := codec.DecodeInto(b, nn.CaptureState(d.Model)); err != nil {
 		return fmt.Errorf("fed: device %d download: %w", d.ID, err)
 	}
-	return d.Download(sd)
+	d.SnapshotReceived()
+	return nil
 }
 
 // Download installs server-provided parameters into the device model and

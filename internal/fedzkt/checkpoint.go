@@ -77,9 +77,8 @@ type checkpoint struct {
 	// the saved one.
 	Global []byte
 	Gen    []byte
-	// Replicas hold each device's slot in its resident form — quantised
-	// slots are persisted verbatim, so a same-codec reload is bit-exact
-	// and costs no re-encode.
+	// Replicas hold each device's slot container verbatim, so a
+	// same-codec reload is bit-exact and costs no re-encode.
 	Replicas [][]byte
 	// Weights records each device's data-size weight (the weighted
 	// teacher-ensemble input).
@@ -243,8 +242,7 @@ func (s *Server) stageCheckpoint(cp *checkpoint) (*stagedCheckpoint, error) {
 // codec loads into a server configured with another: same-codec payloads
 // are adopted verbatim (bit-exact), foreign-dtype payloads are
 // re-encoded into the configured codec at load so the slots keep its
-// memory and accounting invariants, and identity servers decode them
-// into dense slots.
+// memory and accounting invariants.
 //
 // The load is all-or-nothing against structural faults: every count,
 // architecture, container layout and state-dict shape is validated

@@ -6,64 +6,80 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
+// TestCheckpointRoundTrip restores a distilled server bit-exactly. Its
+// devices register two ways — virgin (nil initial state) and with the
+// seeded eager build a virgin slot stands for — and both must checkpoint
+// the same bytes.
 func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.DistillIters = 3
-	srv, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
+	seeded := func(arch string, id int) nn.StateDict {
+		return nn.CaptureState(model.MustBuild(arch, tinyShape(), 4, tensor.NewRand(cfg.Seed+uint64(1000+id))))
 	}
-	for _, arch := range []string{"mlp", "lenet-s"} {
-		if _, err := srv.Register(arch, nil); err != nil {
+	virgin := func(string, int) nn.StateDict { return nil }
+	var blobs [][]byte
+	for _, initial := range []func(arch string, id int) nn.StateDict{virgin, seeded} {
+		srv, err := NewServer(cfg, tinyShape(), 4)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Move the server away from its initialisation so the checkpoint is
-	// nontrivial.
-	if _, err := srv.Distill(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := srv.CheckpointBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
+		for id, arch := range []string{"mlp", "lenet-s"} {
+			if _, err := srv.Register(arch, initial(arch, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Move the server away from its initialisation so the checkpoint
+		// is nontrivial.
+		if _, err := srv.Distill(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := srv.CheckpointBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, blob)
 
-	// Restore into a fresh, empty server (same config → same shapes).
-	restored, err := NewServer(cfg, tinyShape(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
-		t.Fatal(err)
-	}
-	if restored.NumDevices() != 2 {
-		t.Fatalf("restored %d devices, want 2", restored.NumDevices())
-	}
-	for _, pair := range []struct {
-		name string
-		a, b nn.StateDict
-	}{
-		{"global", nn.CaptureState(srv.Global()), nn.CaptureState(restored.Global())},
-		{"generator", nn.CaptureState(srv.Generator()), nn.CaptureState(restored.Generator())},
-	} {
-		for name, want := range pair.a {
-			if tensor.MaxAbsDiff(pair.b[name], want) != 0 {
-				t.Fatalf("%s state %q not restored bit-exactly", pair.name, name)
+		// Restore into a fresh, empty server (same config → same shapes).
+		restored, err := NewServer(cfg, tinyShape(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.LoadCheckpoint(bytes.NewReader(blob)); err != nil {
+			t.Fatal(err)
+		}
+		if restored.NumDevices() != 2 {
+			t.Fatalf("restored %d devices, want 2", restored.NumDevices())
+		}
+		for _, pair := range []struct {
+			name string
+			a, b nn.StateDict
+		}{
+			{"global", nn.CaptureState(srv.Global()), nn.CaptureState(restored.Global())},
+			{"generator", nn.CaptureState(srv.Generator()), nn.CaptureState(restored.Generator())},
+		} {
+			for name, want := range pair.a {
+				if tensor.MaxAbsDiff(pair.b[name], want) != 0 {
+					t.Fatalf("%s state %q not restored bit-exactly", pair.name, name)
+				}
+			}
+		}
+		for id := 0; id < 2; id++ {
+			a, _ := srv.ReplicaState(id)
+			b, _ := restored.ReplicaState(id)
+			for name, want := range a {
+				if tensor.MaxAbsDiff(b[name], want) != 0 {
+					t.Fatalf("replica %d state %q not restored", id, name)
+				}
 			}
 		}
 	}
-	for id := 0; id < 2; id++ {
-		a, _ := srv.ReplicaState(id)
-		b, _ := restored.ReplicaState(id)
-		for name, want := range a {
-			if tensor.MaxAbsDiff(b[name], want) != 0 {
-				t.Fatalf("replica %d state %q not restored", id, name)
-			}
-		}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("virgin registration checkpoints different bytes from the seeded eager build")
 	}
 }
 

@@ -20,7 +20,19 @@ func TestQuantisedSlotsResidentBytes(t *testing.T) {
 	resident := func(name string) int64 {
 		cfg := tinyConfig()
 		cfg.StateCodec = name
-		srv := registerN(t, cfg, 20, "mlp", "lenet-s")
+		srv, err := NewServer(cfg, tinyShape(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Explicit initial states, as the coordinator registers them: a
+		// virgin (nil-state) slot holds no bytes until first touched.
+		for i := 0; i < 20; i++ {
+			arch := []string{"mlp", "lenet-s"}[i%2]
+			sd := nn.CaptureState(model.MustBuild(arch, tinyShape(), 4, tensor.NewRand(uint64(i))))
+			if _, err := srv.RegisterSized(arch, sd, 10+i); err != nil {
+				t.Fatal(err)
+			}
+		}
 		return srv.ResidentStateBytes()
 	}
 	dense := resident("")
@@ -81,7 +93,7 @@ func TestQuantisedAbsorbRoundTrip(t *testing.T) {
 }
 
 // TestQuantisedAbsorbRejectsDriftedArchitecture: quantised installs keep
-// the strict layout validation dense LoadFrom provides.
+// the strict layout validation nn.LoadState provides.
 func TestQuantisedAbsorbRejectsDriftedArchitecture(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.StateCodec = "int8"

@@ -2,6 +2,7 @@ package fedzkt
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -25,23 +26,18 @@ import (
 // architectures × pool size) live modules plus the per-device parameter
 // data.
 //
-// The per-device slot has three representations, selected by the state
-// codec (Config.StateCodec) and the replica store (Config.ReplicaStore):
-//
-//   - identity ("float64") in-memory: a dense nn.StateDict, made resident
-//     by an O(#tensors) slice-header exchange via nn.StateBinding — no
-//     element copy, byte-identical to the pre-codec implementation;
-//   - quantised ("float16", "int8") in-memory: a codec-encoded byte
-//     buffer, decoded into the pooled module's tensors on checkout and
-//     re-encoded on a writable release — 2 or 1 bytes per element
-//     instead of 8;
-//   - tiered ("spill", any codec): the encoded buffer lives in the
-//     cohort's tieredSlots (replicastore.go) — an LRU hot set backed by
-//     a fixed-stride spill file — and members that were never written
-//     are not stored at all (their content is the seeded registration
-//     state, rebuilt on first touch). Resident replica state is bounded
-//     by the hot-set size instead of the device count, the million-
-//     device lever.
+// Every per-device slot is a codec container (Config.StateCodec) held in
+// its cohort's tieredSlots (replicastore.go), under every codec and both
+// replica stores. A checkout decodes the container into a pooled live
+// module's tensors; a writable release re-encodes it, so read-only phases
+// (teacher forwards, evaluation) never requantise. The float64 container
+// round trip is bit-exact, so under the default codec slot storage never
+// changes a run's arithmetic. A member that was never written is not
+// stored at all: its content is the seeded registration state, rebuilt on
+// first touch. The store mode (Config.ReplicaStore) only sets the hot-set
+// bound: "memory" keeps every slot hot and never writes a spill file,
+// "spill" bounds the hot set and spills cold members to disk, so resident
+// replica state scales with the hot-set size instead of the device count.
 //
 // The registry is additionally sharded (Config.ReplicaShards): shard
 // s owns every device with id ≡ s (mod N), each shard keeping its own
@@ -54,35 +50,27 @@ import (
 // values. Cross-process shards over internal/transport (where contiguous
 // ranges matter for routing) are a recorded follow-up.
 
-// member is one registered device inside a cohort: its replica parameters
-// (at most one of state and enc is in use, per the codec/store mode; both
-// nil in tiered mode, where bytes live in the cohort's tieredSlots under
-// the member's local index) and its data-size weight for the weighted
-// ensemble.
+// member is one registered device inside a cohort: its slot key in the
+// cohort's tieredSlots and its data-size weight for the weighted ensemble.
 type member struct {
 	id     int
-	local  int          // index within its cohort (the spill slot key)
-	state  nn.StateDict // dense slot (identity codec, in-memory store)
-	enc    []byte       // encoded slot (quantised codecs, in-memory store)
+	local  int // index within its cohort (the slot key)
 	weight int
 }
 
-// replicaSlot is one pooled live module of a cohort, with the state
-// binding, captured state view and optimiser that serve whichever member
-// is resident.
+// replicaSlot is one pooled live module of a cohort, with the captured
+// state view and optimiser that serve whichever member is resident.
 type replicaSlot struct {
-	module  nn.Module
-	binding *nn.StateBinding
-	sd      nn.StateDict // the module's own state, the codec decode target
-	opt     *optim.SGD
+	module nn.Module
+	sd     nn.StateDict // the module's own state, the codec decode target
+	opt    *optim.SGD
 }
 
 // archSig is an architecture's state signature, captured once per
 // architecture from a single throwaway build: sorted names, per-tensor
-// element counts and the total. Installs validate incoming dicts and
-// payloads against it, taking over the strict-validation role
-// nn.StateDict.LoadFrom plays for dense slots, and the lazy registration
-// path uses it instead of building a module per device.
+// element counts and the total. Registration and installs validate
+// incoming dicts and payloads against it (the same names and element
+// counts nn.LoadState demands), so no module is built per device.
 type archSig struct {
 	names []string
 	lens  []int
@@ -136,7 +124,7 @@ type cohort struct {
 	sig     *archSig
 	members []*member
 	pool    []*replicaSlot
-	// slots is the tiered byte store (spill mode only; nil in-memory).
+	// slots holds every member's container bytes.
 	slots *tieredSlots
 }
 
@@ -153,10 +141,9 @@ func (c *cohort) slot(i int, lr float64) *replicaSlot {
 			panic(fmt.Sprintf("fedzkt: rebuilding %q replica: %v", c.arch, err))
 		}
 		c.pool = append(c.pool, &replicaSlot{
-			module:  m,
-			binding: nn.BindState(m),
-			sd:      nn.CaptureState(m),
-			opt:     optim.NewSGD(m.Params(), lr, 0, 0),
+			module: m,
+			sd:     nn.CaptureState(m),
+			opt:    optim.NewSGD(m.Params(), lr, 0, 0),
 		})
 	}
 	return c.pool[i]
@@ -179,10 +166,9 @@ type deviceRef struct {
 
 // replicaLease is a checked-out replica: a pooled live module currently
 // holding the member's state, until release returns it. writable records
-// whether the phase may mutate the module — a quantised release only
-// re-encodes writable leases, so read-only phases (teacher forwards,
-// evaluation) never pay a requantisation pass nor accumulate
-// quantisation drift.
+// whether the phase may mutate the module — release only re-encodes
+// writable leases, so read-only phases (teacher forwards, evaluation)
+// never pay an encode pass nor accumulate quantisation drift.
 type replicaLease struct {
 	member   *member
 	slot     *replicaSlot
@@ -198,17 +184,17 @@ type cohortOptions struct {
 	shards int
 	// workers bounds the shard fan-out of multi-member operations.
 	workers int
-	// tiered selects the spill-backed store; hotSet bounds each cohort
-	// shard's hot entries (0 = auto: the full cohort in exact mode, a
-	// teacher-window multiple in sampled mode); teachers is the sampled
-	// teacher count driving the auto bound; spillDir hosts the spill
-	// files.
+	// tiered selects the spill store's bounded hot set (false: every
+	// slot stays hot); hotSet bounds each cohort shard's hot entries
+	// (0 = auto: the full cohort in exact mode, a teacher-window multiple
+	// in sampled mode); teachers is the sampled teacher count driving the
+	// auto bound; spillDir hosts the spill files.
 	tiered   bool
 	hotSet   int
 	teachers int
 	spillDir string
 	// initState rebuilds a device's seeded initial state — the content of
-	// a virgin tiered slot (required in tiered mode).
+	// a virgin slot.
 	initState func(arch string, id int) (nn.StateDict, error)
 }
 
@@ -224,11 +210,8 @@ type cohortSet struct {
 	// the bound transiently when an iteration needs more members resident
 	// at once.
 	retain int
-	// codec is the slot encoding; quantised is false exactly for the
-	// identity float64 codec, which keeps the legacy dense-dict slots
-	// (in-memory store only — the tiered store always holds containers).
-	codec     codec.Codec
-	quantised bool
+	// codec is the slot encoding.
+	codec codec.Codec
 
 	tiered    bool
 	hotSet    int
@@ -264,7 +247,6 @@ func newCohortSet(o cohortOptions) *cohortSet {
 		lr:        o.lr,
 		retain:    o.retain,
 		codec:     o.codec,
-		quantised: !codec.Identity(o.codec),
 		tiered:    o.tiered,
 		hotSet:    o.hotSet,
 		teachers:  o.teachers,
@@ -279,7 +261,9 @@ func newCohortSet(o cohortOptions) *cohortSet {
 }
 
 // ensureSig returns arch's state signature, building one throwaway module
-// to capture it on first use.
+// to capture it when the architecture has none yet. register caches it
+// only once a registration succeeds, so a rejected initial state leaves
+// no cohort behind.
 func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*archSig, error) {
 	if sig, ok := cs.sigs[arch]; ok {
 		return sig, nil
@@ -288,40 +272,40 @@ func (cs *cohortSet) ensureSig(arch string, build func() (nn.Module, error)) (*a
 	if err != nil {
 		return nil, err
 	}
-	sig := sigOf(nn.CaptureState(m))
-	cs.sigs[arch] = sig
-	return sig, nil
+	return sigOf(nn.CaptureState(m)), nil
 }
 
 // cohortFor returns the shard's cohort for arch, creating it (with its
-// tiered store, in spill mode) on first registration.
+// slot store) on first registration.
 func (cs *cohortSet) cohortFor(sh *cohortShard, arch string, sig *archSig, build func() (nn.Module, error)) *cohort {
 	if c, ok := sh.byArch[arch]; ok {
 		return c
 	}
 	c := &cohort{arch: arch, build: build, sig: sig}
-	if cs.tiered {
-		path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
-		capFn := func() int { return cs.hotCap(c) }
-		init := func(local int) ([]byte, error) {
-			sd, err := cs.initState(c.arch, c.members[local].id)
-			if err != nil {
-				return nil, err
-			}
-			return codec.Encode(cs.codec, sd)
+	path := filepath.Join(cs.spillDir, fmt.Sprintf("shard%03d-%s.spill", sh.index, arch))
+	capFn := func() int { return cs.hotCap(c) }
+	init := func(local int) ([]byte, error) {
+		sd, err := cs.initState(c.arch, c.members[local].id)
+		if err != nil {
+			return nil, err
 		}
-		c.slots = newTieredSlots(path, capFn, init, &cs.counters)
+		return codec.Encode(cs.codec, sd)
 	}
+	c.slots = newTieredSlots(path, capFn, init, &cs.counters)
 	sh.byArch[arch] = c
 	sh.cohorts = append(sh.cohorts, c)
 	return c
 }
 
-// hotCap is the live hot-set bound of one cohort shard: the configured
-// per-cohort-shard bound, or automatically the whole cohort in exact
-// full-ensemble mode (nothing ever evicts or spills, preserving byte
-// parity and speed) and a teacher-window multiple in sampled mode.
+// hotCap is the live hot-set bound of one cohort shard. The memory store
+// has no bound, so it never evicts and never creates its spill file. The
+// spill store uses the configured per-cohort-shard bound, or
+// automatically the whole cohort in exact full-ensemble mode (nothing
+// ever evicts or spills) and a teacher-window multiple in sampled mode.
 func (cs *cohortSet) hotCap(c *cohort) int {
+	if !cs.tiered {
+		return math.MaxInt
+	}
 	if cs.hotSet > 0 {
 		return cs.hotSet
 	}
@@ -340,56 +324,32 @@ func (cs *cohortSet) hotCap(c *cohort) int {
 // federation size is unknown until the last registration.
 func (cs *cohortSet) shardOf(id int) *cohortShard { return cs.shards[id%len(cs.shards)] }
 
-// register files a new member into its shard's cohort, storing initial
-// state per the active mode. A nil sd registers a virgin member (tiered
-// mode only): nothing is stored until the slot is first written, and
-// reads reconstruct the seeded initial state via initState.
+// register files a new member into its shard's cohort, validating sd
+// against the architecture signature and encoding it straight into the
+// slot. A nil sd registers a virgin member: nothing is stored until the
+// slot is first written, and reads reconstruct the seeded initial state
+// via initState.
 func (cs *cohortSet) register(arch string, sd nn.StateDict, weight int, build func() (nn.Module, error)) (int, error) {
 	id := len(cs.devices)
-	sig, ok := cs.sigs[arch]
-	if !ok {
-		if sd != nil {
-			sig = sigOf(sd)
-			cs.sigs[arch] = sig
-		} else {
-			var err error
-			if sig, err = cs.ensureSig(arch, build); err != nil {
-				return 0, err
-			}
-		}
+	sig, err := cs.ensureSig(arch, build)
+	if err != nil {
+		return 0, err
 	}
 	if sd != nil {
 		if err := sig.checkLayout(arch, dictLayout(sd)); err != nil {
 			return 0, err
 		}
 	}
+	cs.sigs[arch] = sig
 	sh := cs.shardOf(id)
 	c := cs.cohortFor(sh, arch, sig, build)
 	mem := &member{id: id, local: len(c.members), weight: weight}
 	c.members = append(c.members, mem)
 	cs.devices = append(cs.devices, deviceRef{shard: sh.index, cohort: c, member: mem})
-	switch {
-	case sd == nil:
-		if !cs.tiered {
-			return 0, fmt.Errorf("fedzkt: registering device %d without state requires the tiered replica store", id)
-		}
-		// Virgin: stored nowhere until first written.
-	case cs.tiered:
-		enc, err := codec.Encode(cs.codec, sd)
-		if err != nil {
-			return 0, fmt.Errorf("fedzkt: encoding %q replica slot: %w", arch, err)
-		}
-		if err := c.slots.putBytes(mem.local, enc); err != nil {
+	if sd != nil {
+		if err := c.slots.put(mem.local, cs.codec, sd); err != nil {
 			return 0, fmt.Errorf("fedzkt: storing %q replica slot: %w", arch, err)
 		}
-	case cs.quantised:
-		enc, err := codec.Encode(cs.codec, sd)
-		if err != nil {
-			return 0, fmt.Errorf("fedzkt: encoding %q replica slot: %w", arch, err)
-		}
-		mem.enc = enc
-	default:
-		mem.state = sd
 	}
 	return id, nil
 }
@@ -416,41 +376,28 @@ func (cs *cohortSet) liveModules() int {
 	return n
 }
 
-// stateBytes returns the resident size of every member slot: hot-set
-// bytes in tiered mode (spilled members cost no memory), encoded buffer
-// lengths in quantised mode, dense element bytes in identity mode — the
-// per-device memory quantity the quantised codecs shrink and the tiered
+// stateBytes returns the resident size of every member slot: the hot-set
+// container bytes (spilled and virgin members cost no memory) — the
+// per-device memory quantity the quantised codecs shrink and the spill
 // store bounds.
 func (cs *cohortSet) stateBytes() int64 {
 	var total int64
-	if cs.tiered {
-		for _, sh := range cs.shards {
-			for _, c := range sh.cohorts {
-				_, b := c.slots.residency()
-				total += b
-			}
-		}
-		return total
-	}
-	for _, d := range cs.devices {
-		if cs.quantised {
-			total += int64(len(d.member.enc))
-		} else {
-			total += int64(d.member.state.Numel()) * 8
+	for _, sh := range cs.shards {
+		for _, c := range sh.cohorts {
+			_, b := c.slots.residency()
+			total += b
 		}
 	}
 	return total
 }
 
-// storeStats snapshots the tiered store (zero-valued, mode "memory", for
-// an untiered registry).
+// storeStats snapshots the slot stores.
 func (cs *cohortSet) storeStats() ReplicaStoreStats {
 	st := ReplicaStoreStats{Mode: ReplicaStoreMemory, Shards: len(cs.shards)}
-	st.ReplicaFaults = cs.counters.replicaFaults.Load()
-	if !cs.tiered {
-		return st
+	if cs.tiered {
+		st.Mode = ReplicaStoreSpill
 	}
-	st.Mode = ReplicaStoreSpill
+	st.ReplicaFaults = cs.counters.replicaFaults.Load()
 	st.Hits = cs.counters.hits.Load()
 	st.Misses = cs.counters.misses.Load()
 	st.PrefetchIssued = cs.counters.prefetchIssued.Load()
@@ -484,10 +431,9 @@ func (cs *cohortSet) weights() []int {
 }
 
 // virgin reports whether device id's slot has never been written — its
-// content is still the seeded registration state. Always false outside
-// the tiered store (in-memory slots are materialised at registration).
+// content is still the seeded registration state.
 func (cs *cohortSet) virgin(ref deviceRef) bool {
-	return cs.tiered && ref.cohort.slots.virgin(ref.member.local)
+	return ref.cohort.slots.virgin(ref.member.local)
 }
 
 // noteFault records a member whose slot bytes failed to load or decode;
@@ -523,91 +469,53 @@ func (cs *cohortSet) takeFaults() []int {
 	return out
 }
 
-// encOf returns a member's authoritative container bytes in tiered mode,
-// owned by the store (copy before retaining).
-func (cs *cohortSet) encOf(ref deviceRef) ([]byte, error) {
-	return ref.cohort.slots.get(ref.member.local)
-}
-
-// stateOf returns a dense deep copy of a member's slot (the download and
-// inspection currency). Encoded slots decode; identity slots clone.
+// stateOf returns a dense deep copy of a member's slot (the inspection
+// currency), decoded from its container.
 func (cs *cohortSet) stateOf(ref deviceRef) (nn.StateDict, error) {
-	if cs.tiered {
-		enc, err := cs.encOf(ref)
-		if err != nil {
-			return nil, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
-		}
-		sd, err := codec.Decode(enc)
-		if err != nil {
-			return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
-		}
-		return sd, nil
-	}
-	if cs.quantised {
-		sd, err := codec.Decode(ref.member.enc)
-		if err != nil {
-			return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
-		}
-		return sd, nil
-	}
-	return ref.member.state.Clone(), nil
-}
-
-// payloadOf returns a member's slot in wire form — the codec container a
-// download or checkpoint carries — plus its element count for traffic
-// accounting. Encoded slots already hold the container and only pay a
-// byte copy; identity in-memory slots encode a dense float64 container.
-func (cs *cohortSet) payloadOf(ref deviceRef) ([]byte, int, error) {
-	if cs.tiered {
-		enc, err := cs.encOf(ref)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
-		}
-		return append([]byte(nil), enc...), ref.cohort.sig.numel, nil
-	}
-	if cs.quantised {
-		return append([]byte(nil), ref.member.enc...), ref.cohort.sig.numel, nil
-	}
-	b, err := codec.Encode(cs.codec, ref.member.state)
+	enc, err := ref.cohort.slots.get(ref.member.local)
 	if err != nil {
-		return nil, 0, fmt.Errorf("fedzkt: encoding device %d state: %w", ref.member.id, err)
+		return nil, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
 	}
-	return b, ref.cohort.sig.numel, nil
+	sd, err := codec.Decode(enc)
+	if err != nil {
+		return nil, fmt.Errorf("fedzkt: decoding device %d slot: %w", ref.member.id, err)
+	}
+	return sd, nil
 }
 
-// installDict replaces a member's slot contents with src, validating
-// names and element counts against the architecture signature.
-func (cs *cohortSet) installDict(ref deviceRef, src nn.StateDict) error {
-	if !cs.tiered && !cs.quantised {
-		return ref.member.state.LoadFrom(src)
+// payloadOf returns a copy of a member's container — the wire form a
+// download or checkpoint carries — plus its element count for traffic
+// accounting.
+func (cs *cohortSet) payloadOf(ref deviceRef) ([]byte, int, error) {
+	enc, err := ref.cohort.slots.get(ref.member.local)
+	if err != nil {
+		return nil, 0, fmt.Errorf("fedzkt: loading device %d slot: %w", ref.member.id, err)
 	}
+	return append([]byte(nil), enc...), ref.cohort.sig.numel, nil
+}
+
+// installDict replaces a member's slot contents with the encoding of src,
+// validating names and element counts against the architecture
+// signature.
+func (cs *cohortSet) installDict(ref deviceRef, src nn.StateDict) error {
 	if err := ref.cohort.sig.checkLayout(ref.cohort.arch, dictLayout(src)); err != nil {
 		return err
 	}
-	if cs.tiered {
-		if err := ref.cohort.slots.put(ref.member.local, cs.codec, src); err != nil {
-			return fmt.Errorf("fedzkt: storing device %d slot: %w", ref.member.id, err)
-		}
-		return nil
+	if err := ref.cohort.slots.put(ref.member.local, cs.codec, src); err != nil {
+		return fmt.Errorf("fedzkt: storing device %d slot: %w", ref.member.id, err)
 	}
-	enc, err := cs.codec.Append(ref.member.enc[:0], src)
-	if err != nil {
-		return fmt.Errorf("fedzkt: encoding device %d slot: %w", ref.member.id, err)
-	}
-	ref.member.enc = enc
 	return nil
 }
 
 // installPayload replaces a member's slot contents with an encoded
 // container (an uploaded payload or a checkpointed replica), validating
-// its layout against the architecture signature. Encoded slots adopt a
-// copy of the container bytes — verbatim when the payload already uses
-// the configured codec's encoding (the common case: in-process and
-// transport uploads; bit-exact for same-codec checkpoint reloads), or
-// re-encoded when the dtype differs (a cross-codec checkpoint load), so
-// the slot always honours the configured codec's memory bound and
-// nominal-width traffic accounting. Identity in-memory slots decode into
-// their dense dict.
+// its layout against the architecture signature. The slot adopts a copy
+// of the container bytes — verbatim when the payload already uses the
+// configured codec's encoding (the common case: in-process and transport
+// uploads; bit-exact for same-codec checkpoint reloads), or re-encoded
+// when the dtype differs (a cross-codec checkpoint load), so the slot
+// always honours the configured codec's memory bound and nominal-width
+// traffic accounting.
 func (cs *cohortSet) installPayload(ref deviceRef, payload []byte) error {
 	entries, err := codec.Layout(payload)
 	if err != nil {
@@ -616,26 +524,17 @@ func (cs *cohortSet) installPayload(ref deviceRef, payload []byte) error {
 	if err := ref.cohort.sig.checkLayout(ref.cohort.arch, entries); err != nil {
 		return err
 	}
-	if cs.tiered || cs.quantised {
-		payload, _, err = codec.Reencode(cs.codec, payload)
-		if err != nil {
-			return err
-		}
-		if cs.tiered {
-			if err := ref.cohort.slots.putBytes(ref.member.local, payload); err != nil {
-				return fmt.Errorf("fedzkt: storing device %d slot: %w", ref.member.id, err)
-			}
-			return nil
-		}
-		ref.member.enc = append(ref.member.enc[:0], payload...)
-		return nil
+	if payload, _, err = codec.Reencode(cs.codec, payload); err != nil {
+		return err
 	}
-	return codec.DecodeInto(payload, ref.member.state)
+	if err := ref.cohort.slots.putBytes(ref.member.local, payload); err != nil {
+		return fmt.Errorf("fedzkt: storing device %d slot: %w", ref.member.id, err)
+	}
+	return nil
 }
 
-// checkout makes the given devices resident: each member's state is
-// installed in a pooled live module of its shard's cohort (a slice-header
-// swap in identity mode, a codec decode in quantised/tiered mode) and the
+// checkout makes the given devices resident: each member's container is
+// decoded into a pooled live module of its shard's cohort and the
 // module's trainability/training flags are set for the requesting phase.
 // The returned leases follow the order of ids, which must be distinct;
 // with more than one shard, shards are checked out concurrently on the
@@ -694,27 +593,13 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 		}
 		si := next[ref.cohort]
 		slot := ref.cohort.slot(si, cs.lr)
-		switch {
-		case cs.tiered:
-			enc, err := cs.encOf(ref)
-			if err == nil {
-				err = codec.DecodeInto(enc, slot.sd)
-			}
-			if err != nil {
-				cs.noteFault(id, err)
-				continue // the slot is reused by the next member
-			}
-		case cs.quantised:
-			if err := codec.DecodeInto(ref.member.enc, slot.sd); err != nil {
-				cs.noteFault(id, err)
-				continue
-			}
-		default:
-			if err := slot.binding.Swap(ref.member.state); err != nil {
-				// Absorb and registration validate every state dict against
-				// the architecture, so a mismatch here is a programming error.
-				panic(fmt.Sprintf("fedzkt: checkout device %d: %v", id, err))
-			}
+		enc, err := ref.cohort.slots.get(ref.member.local)
+		if err == nil {
+			err = codec.DecodeInto(enc, slot.sd)
+		}
+		if err != nil {
+			cs.noteFault(id, err)
+			continue // the slot is reused by the next member
 		}
 		next[ref.cohort] = si + 1
 		nn.SetTrainable(slot.module, trainable)
@@ -723,42 +608,22 @@ func (cs *cohortSet) checkoutShard(ids []int, positions []int, leases []*replica
 	}
 }
 
-// release returns every leased member's (possibly updated) state to its
-// slot — swapping the dict back out in identity mode, re-encoding
-// writable leases in quantised/tiered mode (read-only leases are dropped
-// unencoded: the slot still holds the authoritative bytes, so read-only
-// phases cause no quantisation drift) — and trims each touched cohort's
-// pool to the retention bound. Nil leases (members dropped by checkout)
-// are skipped. The returned error is a spill-tier I/O failure on a
-// writable release; read-only releases cannot fail.
+// release re-encodes every writable lease's (possibly updated) state
+// into its slot — read-only leases are dropped unencoded: the slot still
+// holds the authoritative bytes, so read-only phases cause no
+// quantisation drift — and trims each touched cohort's pool to the
+// retention bound. Nil leases (members dropped by checkout) are skipped.
+// The returned error is a spill-tier I/O failure on a writable release;
+// read-only releases cannot fail.
 func (cs *cohortSet) release(leases []*replicaLease) error {
 	var firstErr error
 	for _, l := range leases {
-		if l == nil {
+		if l == nil || !l.writable {
 			continue
 		}
-		switch {
-		case cs.tiered:
-			if !l.writable {
-				continue
-			}
-			ref := cs.devices[l.member.id]
-			if err := ref.cohort.slots.put(l.member.local, cs.codec, l.slot.sd); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("fedzkt: release device %d: %w", l.member.id, err)
-			}
-		case cs.quantised:
-			if !l.writable {
-				continue
-			}
-			enc, err := cs.codec.Append(l.member.enc[:0], l.slot.sd)
-			if err != nil {
-				panic(fmt.Sprintf("fedzkt: release device %d: %v", l.member.id, err))
-			}
-			l.member.enc = enc
-		default:
-			if err := l.slot.binding.Swap(l.member.state); err != nil {
-				panic(fmt.Sprintf("fedzkt: release device %d: %v", l.member.id, err))
-			}
+		ref := cs.devices[l.member.id]
+		if err := ref.cohort.slots.put(l.member.local, cs.codec, l.slot.sd); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("fedzkt: release device %d: %w", l.member.id, err)
 		}
 	}
 	touched := make(map[*cohort]bool, 4)
@@ -801,13 +666,12 @@ func compactLeases(leases []*replicaLease) []*replicaLease {
 }
 
 // prefetch hints that ids will be checked out soon, warming their cohort
-// hot sets on the background prefetcher goroutine. A no-op outside the
-// tiered store; hints are dropped (never blocking) when the prefetcher is
-// saturated. Prefetch loads only ever insert entries — they never mutate
+// hot sets on the background prefetcher goroutine. Hints are dropped
+// (never blocking) when the prefetcher is saturated. Prefetch loads only ever insert entries — they never mutate
 // a resident buffer — so a hint can race any phase safely, and values
 // (hence fingerprints) are identical with prefetching on or off.
 func (cs *cohortSet) prefetch(ids []int) {
-	if !cs.tiered || len(ids) == 0 {
+	if len(ids) == 0 {
 		return
 	}
 	cs.prefetchOnce.Do(cs.startPrefetcher)
@@ -853,9 +717,6 @@ func (cs *cohortSet) startPrefetcher() {
 // cumulative counters that no round's delta ever reports, so per-round
 // sums would stop adding up to the totals.
 func (cs *cohortSet) quiescePrefetch() {
-	if !cs.tiered {
-		return
-	}
 	// Starting the prefetcher (if it never ran) keeps this race-free: the
 	// channel exists exactly when the goroutine does, and close() already
 	// handles an idle prefetcher uniformly.
@@ -868,18 +729,14 @@ func (cs *cohortSet) quiescePrefetch() {
 // close stops the prefetcher and releases every spill file. Idempotent.
 func (cs *cohortSet) close() error {
 	cs.closeOnce.Do(func() {
-		// Starting the prefetcher (if it never ran) makes shutdown
-		// uniform: the channel exists exactly when the goroutine does.
 		if cs.prefetchCh != nil {
 			close(cs.prefetchCh)
 			cs.prefetchWG.Wait()
 		}
 		for _, sh := range cs.shards {
 			for _, c := range sh.cohorts {
-				if c.slots != nil {
-					if err := c.slots.close(); err != nil && cs.closeErr == nil {
-						cs.closeErr = err
-					}
+				if err := c.slots.close(); err != nil && cs.closeErr == nil {
+					cs.closeErr = err
 				}
 			}
 		}

@@ -103,7 +103,7 @@ func TestCohortPoolRetention(t *testing.T) {
 }
 
 // TestCohortStateIsolation: distilling through shared pooled modules must
-// keep every device's replica parameters distinct — a swap bug that leaked
+// keep every device's replica parameters distinct — a checkout bug that leaked
 // one member's update into another would show up as identical states.
 func TestCohortStateIsolation(t *testing.T) {
 	cfg := tinyConfig()
@@ -141,7 +141,7 @@ func TestCohortStateIsolation(t *testing.T) {
 		}
 	}
 	// Same-architecture members start from different seeds and take
-	// different distillation paths; bit-identical states mean a swap leak.
+	// different distillation paths; bit-identical states mean a slot leak.
 	for a := 0; a < 3; a++ {
 		for b := a + 1; b < 3; b++ {
 			same := true
@@ -264,6 +264,9 @@ func TestRegisterSizedErrors(t *testing.T) {
 	// A failed registration must not leave a half-registered device.
 	if got := srv.NumDevices(); got != 0 {
 		t.Fatalf("failed registrations left %d devices", got)
+	}
+	if got := srv.NumCohorts(); got != 0 {
+		t.Fatalf("failed registrations left %d cohorts", got)
 	}
 }
 

@@ -117,13 +117,14 @@ type Config struct {
 	// work. For a fixed depth and seed, metrics are byte-identical across
 	// worker counts.
 	PipelineDepth int
-	// ReplicaStore selects where server replica slots live: "memory"
-	// (also the "" default — every slot resident, the pre-tier behaviour)
-	// or "spill" (an LRU hot set per cohort shard backed by fixed-stride
-	// spill files, bounding resident replica state by the hot-set size
-	// instead of the device count — the million-device regime). Stored
-	// bytes are identical either way, so exact-mode fingerprints are
-	// byte-identical across store modes.
+	// ReplicaStore bounds the hot set that holds the server's replica
+	// slots (every slot is a codec container either way): "memory" (also
+	// the "" default — an unbounded hot set, no spill file) or "spill" (an
+	// LRU hot set per cohort shard backed by fixed-stride spill files,
+	// bounding resident replica state by the hot-set size instead of the
+	// device count — the million-device regime). Stored bytes are
+	// identical either way, so fingerprints are byte-identical across
+	// store modes.
 	ReplicaStore string
 	// ReplicaShards shards the server's cohort store: shard s owns every
 	// device with id ≡ s (mod N), with its own cohorts, module pools, hot
@@ -133,8 +134,9 @@ type Config struct {
 	ReplicaShards int
 	// HotSet bounds the resident entries of each cohort shard's hot set
 	// under the spill store (and the virtual-device store's per-arch hot
-	// set). 0 sizes it automatically: the full cohort in exact
-	// full-ensemble mode, a teacher-window multiple in sampled mode.
+	// set); the memory store's hot set is unbounded and ignores it. 0
+	// sizes it automatically: the full cohort in exact full-ensemble mode,
+	// a teacher-window multiple in sampled mode.
 	HotSet int
 	// SpillDir hosts the spill files ("" = a private temp directory,
 	// removed on Close).
@@ -525,11 +527,7 @@ func (c *Coordinator) materialiseDevice(id int) error {
 	if err != nil {
 		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
 	}
-	sd, err := codec.Decode(enc)
-	if err != nil {
-		return fmt.Errorf("fedzkt: materialising device %d: %w", id, err)
-	}
-	return d.Download(sd)
+	return d.DownloadPayload(enc)
 }
 
 // DeviceStoreStats snapshots the virtual-device store (zero-valued, mode
@@ -663,36 +661,25 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 // delivered — collapsing whatever in-flight local progress a cancelled
 // round left behind.
 func (c *Coordinator) reconcileDevices() error {
-	if c.virtual {
-		for _, d := range c.devices {
+	for _, d := range c.devices {
+		if c.virtual {
 			ref, err := c.server.cohorts.ref(d.ID)
 			if err != nil {
 				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
 			}
-			ts := c.devStore[d.Arch]
-			if c.server.cohorts.virgin(ref) && ts.virgin(d.ID) {
+			if c.server.cohorts.virgin(ref) && c.devStore[d.Arch].virgin(d.ID) {
 				// Both sides still hold the seeded initial state (a virgin
 				// slot's content is defined as exactly that), so there is
 				// nothing to copy — the skip that makes million-device
 				// resume O(touched devices), not O(devices).
 				continue
 			}
-			sd, err := c.server.ReplicaState(d.ID)
-			if err != nil {
-				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-			}
-			if err := ts.put(d.ID, c.f64, sd); err != nil {
-				return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
-			}
 		}
-		return nil
-	}
-	for _, d := range c.devices {
-		sd, err := c.server.ReplicaState(d.ID)
+		p, _, err := c.server.ReplicaPayload(d.ID)
 		if err != nil {
 			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
 		}
-		if err := d.Download(sd); err != nil {
+		if err := c.applyDownload(d.ID, p); err != nil {
 			return fmt.Errorf("fedzkt: reconciling device %d: %w", d.ID, err)
 		}
 	}
@@ -771,7 +758,7 @@ func (c *Coordinator) runSync(ctx context.Context) (fed.History, error) {
 		// 4. Download: devices that completed the round receive their own
 		// updated parameters (stragglers keep stale models).
 		for _, id := range completed {
-			p, numel, err := c.publishDownload(id)
+			p, numel, err := c.server.ReplicaPayload(id)
 			if err != nil {
 				roundSpan.End()
 				return hist, err
@@ -872,10 +859,7 @@ func (c *Coordinator) deviceAccs() ([]float64, error) {
 			if !ts.virgin(id) {
 				var enc []byte
 				if enc, err = ts.get(id); err == nil {
-					var sd nn.StateDict
-					if sd, err = codec.Decode(enc); err == nil {
-						err = nn.LoadState(m, sd)
-					}
+					err = codec.DecodeInto(enc, nn.CaptureState(m))
 				}
 			}
 		}
@@ -892,74 +876,36 @@ func (c *Coordinator) deviceAccs() ([]float64, error) {
 	return accs, firstErr
 }
 
-// statePayload carries one model state across the simulated wire: the
-// codec container under a quantised codec, or a dense deep copy on the
-// identity fast path (the float64 container round trip is bit-identical
-// — pinned by TestFloat64CodecMatchesDefault — so in-process it would
-// only add an encode/decode pass per device on the default
-// configuration). Exactly one field is set; either form is an
-// independent copy, safe to hand across engine stages.
-type statePayload struct {
-	enc []byte
-	sd  nn.StateDict
-}
-
-// publishDownload returns device id's post-round replica in wire form
-// plus its element count for traffic accounting. Shared by the
-// synchronous and pipelined engines so the identity-fast-path condition
-// and the accounting can never drift between them.
-func (c *Coordinator) publishDownload(id int) (statePayload, int, error) {
-	if codec.Identity(c.codec) {
-		sd, err := c.server.ReplicaState(id)
-		if err != nil {
-			return statePayload{}, 0, err
-		}
-		return statePayload{sd: sd}, sd.Numel(), nil
+// applyDownload installs one downloaded codec container into its device:
+// the live model, or — in virtual mode — the device's store slot,
+// re-encoded as float64 (the model was already evicted after upload
+// staging; a live device's model would hold exactly these values after
+// the download, which is what the next materialisation reproduces).
+func (c *Coordinator) applyDownload(id int, p []byte) error {
+	if !c.virtual {
+		return c.devices[id].DownloadPayload(p)
 	}
-	b, numel, err := c.server.ReplicaPayload(id)
+	b, _, err := codec.Reencode(c.f64, p)
+	if err == nil {
+		err = c.devStore[c.devices[id].Arch].putBytes(id, b)
+	}
 	if err != nil {
-		return statePayload{}, 0, err
+		return fmt.Errorf("fedzkt: device %d download: %w", id, err)
 	}
-	return statePayload{enc: b}, numel, nil
-}
-
-// applyDownload installs one published state into its device: the live
-// model, or — in virtual mode — the device's store slot (the model was
-// already evicted after upload staging; a live device's model would hold
-// exactly these bytes after the download, which is what the next
-// materialisation reproduces).
-func (c *Coordinator) applyDownload(id int, p statePayload) error {
-	if c.virtual {
-		ts := c.devStore[c.devices[id].Arch]
-		sd := p.sd
-		if sd == nil {
-			var err error
-			if sd, err = codec.Decode(p.enc); err != nil {
-				return fmt.Errorf("fedzkt: device %d download: %w", id, err)
-			}
-		}
-		if err := ts.put(id, c.f64, sd); err != nil {
-			return fmt.Errorf("fedzkt: device %d download: %w", id, err)
-		}
-		return nil
-	}
-	if p.sd != nil {
-		return c.devices[id].Download(p.sd)
-	}
-	return c.devices[id].DownloadPayload(p.enc)
+	return nil
 }
 
 // localPhase runs Algorithm 2 on every sampled device via the sharded
 // scheduler and returns the device ids that completed within the round
-// together with their uploaded states in wire form — encoded with the
-// run's codec, exactly the bytes a real uplink would carry, or dense
-// copies on the identity fast path — in ascending-id order. The uploads
+// together with their uploaded states in wire form — codec containers
+// encoded with the run's codec, exactly the bytes a real uplink would
+// carry — in ascending-id order. The uploads
 // are staged for the server but not yet absorbed: the synchronous engine
 // absorbs them immediately, the pipelined engine hands them to the
 // server stage so they cannot race an in-flight distillation. Each task
 // touches only its own device, so the round's outcome is identical for
 // any worker count.
-func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]int, []statePayload, error) {
+func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]int, [][]byte, error) {
 	cfg := c.cfg
 	local := fed.LocalConfig{
 		Epochs:      cfg.LocalEpochs,
@@ -1012,20 +958,13 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 			return nil, nil, fmt.Errorf("fedzkt: local phase device %d: %w", r.Device, r.Err)
 		}
 	}
-	uploads := make([]statePayload, len(completed))
-	identity := codec.Identity(c.codec)
+	uploads := make([][]byte, len(completed))
 	for i, id := range completed {
-		if identity {
-			sd := c.devices[id].Upload()
-			uploads[i] = statePayload{sd: sd}
-			m.BytesUp += fed.WireBytes(sd.Numel(), c.codec.Width())
-			continue
-		}
 		payload, numel, err := c.devices[id].UploadPayload(c.codec)
 		if err != nil {
 			return nil, nil, err
 		}
-		uploads[i] = statePayload{enc: payload}
+		uploads[i] = payload
 		m.BytesUp += fed.WireBytes(numel, c.codec.Width())
 	}
 	if c.virtual {
@@ -1045,15 +984,9 @@ func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m
 
 // absorbUploads installs a round's staged uploads into the server
 // replicas, in the staged (ascending-id) order.
-func (c *Coordinator) absorbUploads(completed []int, uploads []statePayload) error {
+func (c *Coordinator) absorbUploads(completed []int, uploads [][]byte) error {
 	for i, id := range completed {
-		var err error
-		if uploads[i].sd != nil {
-			err = c.server.Absorb(id, uploads[i].sd)
-		} else {
-			err = c.server.AbsorbPayload(id, uploads[i].enc)
-		}
-		if err != nil {
+		if err := c.server.AbsorbPayload(id, uploads[i]); err != nil {
 			return fmt.Errorf("fedzkt: upload device %d: %w", id, err)
 		}
 	}

@@ -98,7 +98,7 @@ func TestSchedulerDeterminismRepeatable(t *testing.T) {
 // produced by the pre-cohort server (flat replicas, full ensemble),
 // recorded before the architecture-cohort refactor landed. The exact mode
 // (TeachersPerIter = 0) must keep reproducing it byte for byte: the cohort
-// subsystem, state swapping, and hoisted transfer-back constants are
+// subsystem, codec-container slots, and hoisted transfer-back constants are
 // required to be pure implementation changes.
 const preCohortGoldenFingerprint = "round=1 active=[1 2 3 5] dropped=[] injected=[] up=460512 down=460512 global=0.3888888888888889 mean=0.3703703703703703 gradnorm=0 dev=[0.4444444444444444 0.3333333333333333 0.3333333333333333 0.3333333333333333 0.3888888888888889 0.3888888888888889]\n" +
 	"round=2 active=[0 1 2 3] dropped=[] injected=[] up=839520 down=839520 global=0.3333333333333333 mean=0.39814814814814814 gradnorm=0 dev=[0.5555555555555556 0.4444444444444444 0.2777777777777778 0.3333333333333333 0.3888888888888889 0.3888888888888889]\n"

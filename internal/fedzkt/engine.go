@@ -17,8 +17,8 @@ package fedzkt
 // they can never race the round-r teacher ensemble. Snapshot isolation
 // between the stages follows from the existing data flow — devices train
 // on their own modules, the server mutates cohort replica slots, and both
-// uploads and downloads are independent copies (encoded payloads, or
-// dense clones on the identity fast path) handed across a channel.
+// uploads and downloads are independent copies (codec containers) handed
+// across a channel.
 //
 // Bounded staleness: round r's local phase trains on the parameters
 // published after round r−1−depth, enforced by waiting for exactly that
@@ -50,17 +50,17 @@ type uploadBatch struct {
 	start     time.Time // when the round's local phase began
 	m         fed.RoundMetrics
 	completed []int
-	uploads   []statePayload
+	uploads   [][]byte
 }
 
 // downloadBatch is one round's published downloads: each completing
-// device's replica slot after the round's transfer-back, in wire form
-// (see statePayload — an independent copy either way, so later absorbs
-// cannot race a batch sitting in the channel).
+// device's replica slot after the round's transfer-back, as a copy of its
+// codec container, so later absorbs cannot race a batch sitting in the
+// channel.
 type downloadBatch struct {
 	round  int
 	ids    []int
-	states []statePayload
+	states [][]byte
 }
 
 // runPipelined executes the staged round engine with cfg.PipelineDepth
@@ -129,7 +129,7 @@ func (c *Coordinator) runPipelined(ctx context.Context) (fed.History, error) {
 
 			db := downloadBatch{round: ub.round, ids: ub.completed}
 			for _, id := range ub.completed {
-				p, numel, err := c.publishDownload(id)
+				p, numel, err := c.server.ReplicaPayload(id)
 				if err != nil {
 					serverErr = err
 					cancel()

@@ -1,19 +1,19 @@
 package fedzkt
 
-// The tiered replica store behind the cohort slot API (ISSUE 8).
+// The replica slot store behind the cohort slot API.
 //
-// In tiered mode a member's encoded container does not live in the member
-// record: it lives in its cohort's tieredSlots — an LRU hot set of byte
-// buffers sized to the teacher/transfer-back window, backed by a
-// fixed-stride spill file (codec.SpillFile) that dirty entries are
-// written to on eviction. Three properties make the tier invisible to
-// the arithmetic:
+// Every member's codec container lives in its cohort's tieredSlots: an
+// LRU hot set of byte buffers, backed by a fixed-stride spill file
+// (codec.SpillFile) that dirty entries are written to on eviction. The
+// store mode only sets the hot-set bound: the memory store has none, so
+// it never evicts and never creates the file; the spill store sizes the
+// hot set to the teacher/transfer-back window. Three properties make the
+// tier invisible to the arithmetic:
 //
-//   - byte identity: the store holds exactly the container bytes the
-//     in-memory mode would hold in member.enc; the spill round trip is a
-//     verbatim byte copy, so fingerprints are identical with the tier on
-//     or off (the float64 container itself is bit-exact, pinned by the
-//     codec tests).
+//   - byte identity: both modes hold exactly the same container bytes;
+//     the spill round trip is a verbatim byte copy, so fingerprints are
+//     identical with the tier on or off (the float64 container itself is
+//     bit-exact, pinned by the codec tests).
 //   - virgin reconstruction: a slot that has never been written is not
 //     stored at all. Its content is defined as the encoding of the
 //     device's seeded initial state, rebuilt on first touch from the
@@ -39,8 +39,8 @@ import (
 
 // Replica store modes for Config.ReplicaStore.
 const (
-	// ReplicaStoreMemory keeps every member's slot resident (also the ""
-	// default): identical to the pre-tier server.
+	// ReplicaStoreMemory keeps every member's slot in an unbounded hot set
+	// with no spill file (also the "" default).
 	ReplicaStoreMemory = "memory"
 	// ReplicaStoreSpill keeps an LRU hot set per cohort shard and spills
 	// cold members' encoded buffers to a fixed-stride disk file, so
@@ -49,7 +49,7 @@ const (
 	ReplicaStoreSpill = "spill"
 )
 
-// storeCounters aggregates tiered-store traffic across every cohort and
+// storeCounters aggregates slot-store traffic across every cohort and
 // shard of one server. All fields are monotonic and safe for concurrent
 // update (the prefetch goroutine races the checkout path by design).
 type storeCounters struct {
@@ -65,7 +65,8 @@ type storeCounters struct {
 
 // ReplicaStoreStats is a point-in-time snapshot of the server's replica
 // store: residency, hot-set effectiveness, prefetch overlap and spill
-// traffic. Zero-valued (with Mode "memory") for an untiered server.
+// traffic. Both modes count hits, misses and prefetches; the memory
+// store never evicts, so its eviction and spill fields stay zero.
 type ReplicaStoreStats struct {
 	// Mode is the store mode in effect ("memory" or "spill").
 	Mode string
@@ -150,8 +151,8 @@ type hotEntry struct {
 	prev, next *hotEntry
 }
 
-// tieredSlots is one cohort shard's slot storage in spill mode: the hot
-// set, the LRU list, the spill file (created lazily at first eviction)
+// tieredSlots is one cohort shard's slot storage: the hot set, the LRU
+// list, the spill file (created lazily at first eviction)
 // and the virgin-reconstruction hook. All access is serialised by mu;
 // the prefetcher performs its loads under the same lock, so record reads
 // can never race an eviction's write of the same slot.

@@ -31,10 +31,11 @@ import (
 // transfers knowledge back into a rotating T-wide window of replicas, so
 // the per-iteration server cost is O(T) rather than O(devices).
 //
-// With ReplicaStore = "spill" the replica slots live in the tiered store
-// (replicastore.go) and the server holds memory proportional to the
-// hot-set size rather than the device count; Close releases the spill
-// files. The cohort store may additionally be sharded (ReplicaShards).
+// Every replica slot is a codec container in the cohort's slot store
+// (replicastore.go). With ReplicaStore = "spill" the hot set is bounded
+// and the server holds memory proportional to the hot-set size rather
+// than the device count; Close releases the spill files. The cohort
+// store may additionally be sharded (ReplicaShards).
 type Server struct {
 	cfg Config
 	in  model.Shape
@@ -82,8 +83,8 @@ type Server struct {
 
 // NewServer constructs the server side for a dataset signature (input
 // shape + class count). Devices are registered afterwards. Call Close
-// when done — a no-op for the in-memory store, releasing the spill files
-// for the tiered store.
+// when done: it stops the replica prefetcher and releases the spill
+// store's files.
 func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateCohorts(); err != nil {
@@ -134,7 +135,7 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 		hotSet:   cfg.HotSet,
 		teachers: cfg.TeachersPerIter,
 		spillDir: spillDir,
-		// A virgin tiered slot's content is defined as the device's seeded
+		// A virgin slot's content is defined as the device's seeded
 		// registration state, rebuilt here on first touch — bit-identical
 		// to what eager registration would have stored.
 		initState: func(arch string, id int) (nn.StateDict, error) {
@@ -158,9 +159,9 @@ func NewServer(cfg Config, in model.Shape, classes int) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the replica prefetcher and releases the tiered store's
-// spill files (removing the spill directory when the server created it).
-// A no-op for the in-memory store. Idempotent.
+// Close stops the replica prefetcher and releases the spill store's
+// files (removing the spill directory when the server created it).
+// Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.closeErr = s.cohorts.close()
@@ -201,10 +202,9 @@ func (s *Server) LiveReplicas() int { return s.cohorts.liveModules() }
 func (s *Server) Codec() codec.Codec { return s.codec }
 
 // ResidentStateBytes returns the total resident size of every device's
-// replica slot: hot-set bytes under the tiered store (spilled members
-// cost nothing), codec-container bytes under a quantised codec, dense
-// float64 bytes under the identity codec. This is the per-device memory
-// quantity the quantised codecs shrink up to 8× and the tiered store
+// replica slot: the codec-container bytes of the hot set (spilled and
+// never-touched members cost nothing). This is the per-device memory
+// quantity the quantised codecs shrink up to 8× and the spill store
 // bounds; live pooled modules are accounted separately via LiveReplicas.
 func (s *Server) ResidentStateBytes() int64 { return s.cohorts.stateBytes() }
 
@@ -228,39 +228,26 @@ func (s *Server) Register(arch string, initial nn.StateDict) (int, error) {
 
 // RegisterSized adds a device with the given architecture, initial state,
 // and data-size weight (typically its shard size), returning its assigned
-// id. The server stores the device's parameters in its architecture
-// cohort and installs the initial parameters when given; with a nil
-// initial state the replica keeps a seeded random initialisation — under
-// the tiered store that registration is O(1): no module is built and
-// nothing is stored until the slot is first touched (virgin slots
-// reconstruct the seeded state on demand, bit-identically).
+// id. The server files the device into its architecture cohort: an
+// initial state is validated against the architecture's signature (the
+// same names and element counts nn.LoadState demands) and encoded
+// straight into the replica slot. With a nil initial state the replica
+// keeps a seeded random initialisation and registration is O(1): nothing
+// is stored until the slot is first touched (virgin slots reconstruct
+// the seeded state on demand, bit-identically). Only the first
+// registration of an architecture builds a module, to capture its
+// signature.
 func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) (int, error) {
 	id := s.cohorts.numDevices()
 	if dataSize < 0 {
 		return 0, fmt.Errorf("fedzkt: register device %d: negative data size %d", id, dataSize)
 	}
 	build := func() (nn.Module, error) {
-		// Pool modules are state-swapped before every use, so their own
+		// Pool modules are decoded into before every use, so their own
 		// initial values never matter; the RNG only has to be valid.
 		return model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(2000+id)))
 	}
-	if s.cohorts.tiered && initial == nil {
-		got, err := s.cohorts.register(arch, nil, dataSize, build)
-		if err != nil {
-			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
-		}
-		return got, nil
-	}
-	replica, err := model.Build(arch, s.in, s.cls, tensor.NewRand(s.cfg.Seed+uint64(1000+id)))
-	if err != nil {
-		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
-	}
-	if initial != nil {
-		if err := nn.LoadState(replica, initial); err != nil {
-			return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
-		}
-	}
-	got, err := s.cohorts.register(arch, nn.CaptureState(replica), dataSize, build)
+	got, err := s.cohorts.register(arch, initial, dataSize, build)
 	if err != nil {
 		return 0, fmt.Errorf("fedzkt: register device %d: %w", id, err)
 	}
@@ -269,9 +256,8 @@ func (s *Server) RegisterSized(arch string, initial nn.StateDict, dataSize int) 
 
 // Absorb installs a device's uploaded parameters into its server replica,
 // validating the state-dict keys and tensor sizes against the registered
-// architecture so a drifted peer fails loudly. Under a quantised codec
-// the upload is encoded into the replica slot — absorption is the point
-// where server-resident state becomes compact.
+// architecture so a drifted peer fails loudly. The upload is encoded into
+// the replica slot with the server's codec.
 func (s *Server) Absorb(id int, upload nn.StateDict) error {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
@@ -286,10 +272,10 @@ func (s *Server) Absorb(id int, upload nn.StateDict) error {
 // AbsorbPayload installs a device's uploaded codec container into its
 // server replica, with the same strict layout validation as Absorb. The
 // container is self-describing, so payloads survive codec configuration
-// changes between peers; under a quantised codec the validated bytes of
-// a same-codec payload are adopted verbatim — the wire format is the
-// slot format — while a foreign-dtype payload is re-encoded so the slot
-// keeps the configured codec's invariants.
+// changes between peers; the validated bytes of a same-codec payload are
+// adopted verbatim — the wire format is the slot format — while a
+// foreign-dtype payload is re-encoded so the slot keeps the configured
+// codec's invariants.
 func (s *Server) AbsorbPayload(id int, payload []byte) error {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
@@ -302,8 +288,8 @@ func (s *Server) AbsorbPayload(id int, payload []byte) error {
 }
 
 // ReplicaState returns a dense deep copy of device id's replica
-// parameters. Under a quantised codec this decodes the slot, so the
-// caller sees exactly the values a download would deliver.
+// parameters, decoded from the slot, so the caller sees exactly the
+// values a download would deliver.
 func (s *Server) ReplicaState(id int) (nn.StateDict, error) {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
@@ -312,10 +298,9 @@ func (s *Server) ReplicaState(id int) (nn.StateDict, error) {
 	return s.cohorts.stateOf(ref)
 }
 
-// ReplicaPayload returns device id's replica slot in wire form — the
-// codec container a download carries — plus its element count for
-// traffic accounting. Quantised slots already hold the container and
-// only pay a byte copy.
+// ReplicaPayload returns device id's replica slot in wire form — a copy
+// of the codec container a download carries — plus its element count
+// for traffic accounting.
 func (s *Server) ReplicaPayload(id int) ([]byte, int, error) {
 	ref, err := s.cohorts.ref(id)
 	if err != nil {
@@ -325,8 +310,8 @@ func (s *Server) ReplicaPayload(id int) ([]byte, int, error) {
 }
 
 // PrefetchReplicas hints that the given device ids will be checked out or
-// downloaded soon, warming the tiered store's hot sets in the background.
-// A no-op for the in-memory store; never blocks; values are unaffected.
+// downloaded soon, warming the store's hot sets in the background. Never
+// blocks; values are unaffected.
 func (s *Server) PrefetchReplicas(ids []int) { s.cohorts.prefetch(ids) }
 
 // DeviceArch returns the architecture device id registered with.
@@ -712,9 +697,9 @@ func (s *Server) EvaluateReplicas(ds *data.Dataset, batchSize, workers int) []fl
 // server-side replica states, in ids order (the scale regime evaluates a
 // deterministic subset instead of a million replicas).
 //
-// Replicas are swapped into pooled live modules in bounded chunks of
+// Replicas are decoded into pooled live modules in bounded chunks of
 // workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk —
-// with the next chunk prefetching from the tiered store meanwhile — so
+// with the next chunk prefetching from the slot store meanwhile — so
 // the cohort pools never grow beyond the chunk size on account of
 // evaluation. Accuracy depends only on the stored states, so the result
 // is identical for any worker count. A member whose replica fails to load

@@ -6,7 +6,7 @@ import "testing"
 // window over a 64-member cohort under the given store. The window
 // rotates, so under the spill store (hot set 16) most lookups are cold —
 // the spill read + decode path is what the benchmark prices against the
-// in-memory slot path.
+// memory store's always-hot decode path.
 func benchCohortCheckout(b *testing.B, store string) {
 	b.Helper()
 	cfg := tinyConfig()

@@ -216,6 +216,50 @@ func TestCheckpointRoundTripWithSpill(t *testing.T) {
 	}
 }
 
+// TestMemoryStoreNeverSpills: the memory store's hot set has no bound.
+// A sampled-teacher run whose cohort outgrows the spill store's automatic
+// bound (32) must keep every slot hot: no eviction, no spill record, no
+// file in SpillDir — while its checkouts still count as hits.
+func TestMemoryStoreNeverSpills(t *testing.T) {
+	const devices = 40
+	dir := t.TempDir()
+	ds := tinyDataset(3)
+	shards := partition.IID(ds.NumTrain(), devices, tensor.NewRand(4))
+	cfg := tinyConfig()
+	cfg.Rounds = 1
+	cfg.LocalEpochs = 1
+	cfg.DistillIters = 3
+	cfg.SampleK = 4
+	cfg.TeachersPerIter = 2
+	cfg.ReplicaStore = ReplicaStoreMemory
+	cfg.SpillDir = dir
+	co, err := New(cfg, ds, []string{"mlp"}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if _, err := co.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := co.Server().ReplicaStoreStats()
+	if st.Mode != ReplicaStoreMemory || st.Evictions != 0 || st.SpillRecords != 0 {
+		t.Fatalf("memory store spilled: %+v", st)
+	}
+	if st.Hits == 0 {
+		t.Fatalf("memory store reported no hits: %+v", st)
+	}
+	if st.HotEntries != devices {
+		t.Fatalf("%d hot entries, want all %d devices", st.HotEntries, devices)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 0 {
+		t.Fatalf("memory store created %d file(s) in SpillDir, first %q", len(files), files[0].Name())
+	}
+}
+
 // TestEvalDevicesSubset: EvalDevices caps the per-round replica
 // evaluation to a fixed prefix — the million-device run's way of keeping
 // evaluation O(constant).

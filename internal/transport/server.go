@@ -500,7 +500,9 @@ func (s *Server) roundLoop(ctx context.Context) (fed.History, error) {
 
 		// Kick off local training on the active devices. Enqueues to a
 		// detached session are dropped; if the device resumes mid-round
-		// the attach event below re-sends the request.
+		// the attach event below re-sends the request. The local phase is
+		// timed from here until upload collection ends.
+		localStart := time.Now()
 		for _, id := range active {
 			sessions[id].enqueue(&Message{Type: MsgTrainRequest, Round: round, DeviceID: id})
 		}
@@ -589,6 +591,7 @@ func (s *Server) roundLoop(ctx context.Context) (fed.History, error) {
 			}
 		}
 		deadline.Stop()
+		m.LocalElapsed = time.Since(localStart)
 		for _, id := range active {
 			if !uploaded[id] {
 				m.Dropped = append(m.Dropped, id)
@@ -596,11 +599,13 @@ func (s *Server) roundLoop(ctx context.Context) (fed.History, error) {
 		}
 
 		// Server-side distillation.
+		serverStart := time.Now()
 		gn, err := s.core.Distill(ctx, round)
 		if err != nil {
 			roundSpan.End()
 			return hist, err
 		}
+		m.ServerElapsed = time.Since(serverStart)
 		m.InputGradNorm = gn
 
 		// Ship the distilled parameters back to every device whose upload

@@ -202,6 +202,9 @@ func endToEndLoopback(t *testing.T, stateCodec string) fed.History {
 		if m.BytesUp == 0 || m.BytesDown == 0 {
 			t.Fatalf("round %d: missing byte accounting (%d up, %d down)", m.Round, m.BytesUp, m.BytesDown)
 		}
+		if m.LocalElapsed <= 0 || m.ServerElapsed <= 0 {
+			t.Fatalf("round %d: missing phase timing (local %v, server %v)", m.Round, m.LocalElapsed, m.ServerElapsed)
+		}
 		if m.GlobalAcc < 0 || m.GlobalAcc > 1 {
 			t.Fatalf("round %d: global acc %v", m.Round, m.GlobalAcc)
 		}
