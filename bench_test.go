@@ -296,7 +296,7 @@ func runPipelinedFederation(b *testing.B, depth int, seed uint64) {
 func BenchmarkPipelinedRoundDepth0(b *testing.B) { benchPipelinedRound(b, 0) }
 
 // BenchmarkPipelinedRoundDepth2 is the same federation with two rounds in
-// flight on the staged pipelined engine.
+// flight.
 func BenchmarkPipelinedRoundDepth2(b *testing.B) { benchPipelinedRound(b, 2) }
 
 // --- State-codec benchmarks ---

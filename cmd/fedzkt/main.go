@@ -50,7 +50,7 @@ func run(args []string) error {
 		teachersPerIter = fs.Int("teachers-per-iter", 0, "server: replica teachers sampled per distillation iteration (0 = paper-exact full ensemble; -exp scale always compares full vs sampled and sizes the sampled arm with this, defaulting to 8)")
 		teacherSampling = fs.String("teacher-sampling", "", "server: teacher-subset policy, uniform or weighted (by device data size)")
 		cohortReplicas  = fs.Int("cohort-replicas", 0, "server: live replica modules retained per architecture cohort (0 = automatic)")
-		pipelineDepth   = fs.Int("pipeline-depth", 0, "rounds in flight on the pipelined engine (0 = paper-exact synchronous barrier; -exp scale always compares sync vs pipelined and sizes the pipelined arm with this, defaulting to 1)")
+		pipelineDepth   = fs.Int("pipeline-depth", 0, "rounds in flight on the round engine (0 = paper-exact synchronous barrier; -exp scale always compares sync vs pipelined and sizes the pipelined arm with this, defaulting to 1)")
 		stateCodec      = fs.String("state-codec", "", "state codec for replica slots, wire payloads and checkpoints: float64 (dense, the default), float16, or int8 (per-tensor affine); -exp scale additionally sweeps all three in its codec table")
 		replicaStore    = fs.String("replica-store", "", "server replica store: memory (fully resident, the default) or spill (LRU hot set + disk tier); -exp scale additionally runs a spill arm in its store table")
 		shardCount      = fs.Int("shards", 0, "cohort store shards, registration/checkout fanned out per shard (0 = 1)")

@@ -21,9 +21,10 @@
 //
 //	go run ./examples/scale -devices 1000000
 //
-// With -pipeline-depth ≥ 1 rounds run on the staged pipelined engine:
-// the server distills round r while round r+1 trains on-device, with
-// devices on bounded-stale parameters (see README "Pipelined rounds").
+// Every depth runs the same staged round engine; -pipeline-depth 0 is
+// the paper's barrier. With -pipeline-depth ≥ 1 the server distills round
+// r while round r+1 trains on-device, with devices on bounded-stale
+// parameters (see README "Pipelined rounds").
 //
 // With -state-codec float16 or int8 the server keeps every replica slot
 // as a quantised container (2 or 1 bytes per element instead of 8) and the
@@ -83,7 +84,7 @@ func main() {
 		teachersPerIter = flag.Int("teachers-per-iter", 8, "replica teachers sampled per server distillation iteration (0 = paper-exact full ensemble)")
 		teacherSampling = flag.String("teacher-sampling", "uniform", "teacher-subset policy: uniform or weighted (by device data size)")
 		cohortReplicas  = flag.Int("cohort-replicas", 0, "live replica modules retained per architecture cohort (0 = automatic)")
-		pipelineDepth   = flag.Int("pipeline-depth", 0, "rounds in flight on the pipelined engine: the server distills round r while round r+1 trains on-device (0 = synchronous barrier)")
+		pipelineDepth   = flag.Int("pipeline-depth", 0, "rounds in flight on the round engine: the server distills round r while round r+1 trains on-device (0 = synchronous barrier)")
 		stateCodec      = flag.String("state-codec", "", "state codec for replica slots and wire payloads: float64 (dense, default), float16 (2 B/elem), int8 (1 B/elem, per-tensor affine)")
 
 		replicaStore = flag.String("replica-store", "auto", "server replica store: memory, spill (LRU hot set + disk tier), or auto (spill at ≥ 10,000 devices)")

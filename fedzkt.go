@@ -33,12 +33,13 @@
 //		Rounds: 2, SampleK: 32, TeachersPerIter: 8, TeacherSampling: "weighted",
 //	}, ds, archs, shards)
 //
-// PipelineDepth selects the round engine: 0 (the default) is the
-// paper-exact synchronous barrier; depth D ≥ 1 overlaps the server's
-// distillation of round r with round r+1's on-device training, devices
-// training on bounded-stale parameters (round r starts from the download
-// of round r−1−D). Metrics stay byte-identical across worker counts for
-// a fixed depth and seed:
+// PipelineDepth sets how far the round engine's local stage may run
+// ahead of its server stage: 0 (the default) is the paper-exact barrier;
+// depth D ≥ 1 overlaps the server's distillation of round r with round
+// r+1's on-device training, devices training on bounded-stale parameters
+// (round r starts from the download of round r−1−D). DeviceAcc is the
+// on-device models' accuracy at every depth, and metrics stay
+// byte-identical across worker counts for a fixed depth and seed:
 //
 //	co, err := fedzkt.New(fedzkt.Config{
 //		Rounds: 4, SampleK: 32, TeachersPerIter: 8, PipelineDepth: 2,

@@ -100,6 +100,14 @@ func TestFedAvgLearnsAndAverages(t *testing.T) {
 	}
 }
 
+func TestFedAvgRejectsBadFraction(t *testing.T) {
+	ds := tinyDataset(11, data.FamilyDigits)
+	shards := partition.IID(ds.NumTrain(), 3, tensor.NewRand(12))
+	if _, err := NewFedAvg(FedAvgConfig{ActiveFraction: 1.5}, ds, shards); err == nil {
+		t.Fatal("want error for active fraction 1.5")
+	}
+}
+
 func TestAverageInto(t *testing.T) {
 	rng := tensor.NewRand(14)
 	in := model.Shape{C: 1, H: 8, W: 8}

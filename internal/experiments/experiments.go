@@ -94,7 +94,7 @@ type Params struct {
 	// CohortReplicas bounds the live replica modules retained per
 	// architecture cohort; set by the -cohort-replicas flag.
 	CohortReplicas int
-	// PipelineDepth selects the pipelined round engine (0 = synchronous
+	// PipelineDepth is the round engine's pipeline depth (0 = synchronous
 	// barrier); set by the -pipeline-depth flag. The scale experiment
 	// always compares synchronous against pipelined and sizes the
 	// pipelined arm with this, defaulting to 1.

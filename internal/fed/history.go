@@ -2,28 +2,10 @@ package fed
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"strconv"
 	"strings"
 	"time"
-
-	"github.com/fedzkt/fedzkt/internal/sched"
 )
-
-// SampleActive selects the active device subset for one communication
-// round: a uniformly random round(p·k)-sized subset of [0,k) in
-// ascending order, modelling the straggler experiments where only a
-// portion p of devices participates. At least one device is always
-// selected. It is the sched.Fraction policy behind the original
-// panic-on-misuse contract, kept so baselines and the networked
-// transport share one straggler model with the coordinator.
-func SampleActive(k int, p float64, rng *rand.Rand) []int {
-	s, err := sched.NewFraction(p)
-	if err != nil {
-		panic(fmt.Sprintf("fed: %v", err))
-	}
-	return s.Sample(k, rng)
-}
 
 // RoundMetrics records what happened in one communication round.
 type RoundMetrics struct {
@@ -64,9 +46,10 @@ type RoundMetrics struct {
 	// this round (Figure 2 instrumentation; 0 when not probed).
 	InputGradNorm float64
 	// Elapsed is the wall-clock duration of the round: from the start of
-	// its local phase to its metrics being finalised. Under the pipelined
-	// engine consecutive rounds overlap, so per-round Elapsed values sum
-	// to more than the run's wall time by design.
+	// its local phase to its metrics being finalised after its downloads
+	// are applied (the checkpoint write excluded). At PipelineDepth ≥ 1
+	// consecutive rounds overlap, so per-round Elapsed values sum to more
+	// than the run's wall time by design.
 	Elapsed time.Duration
 	// ServerElapsed is the wall-clock duration of the round's server
 	// phase (Algorithm 3: adversarial distillation plus transfer-back) —
@@ -75,16 +58,16 @@ type RoundMetrics struct {
 	// LocalElapsed is the wall-clock duration of the round's on-device
 	// local phase (Algorithm 2 across the sampled devices).
 	LocalElapsed time.Duration
-	// DownloadStall is how long this round's local phase sat idle waiting
-	// for the download it is allowed to train on — the pipeline's
-	// bounded-staleness barrier. 0 when the server kept ahead of the
-	// devices and in the synchronous (PipelineDepth = 0) engine, where
-	// the wait is part of the barrier itself.
+	// DownloadStall is how long the local stage sat blocked, before this
+	// round's local phase, waiting for the downloads it is allowed to
+	// train on — the bounded-staleness barrier. At PipelineDepth 0 it is
+	// the barrier wait for the previous round's server phase; at depth ≥ 1
+	// it is 0 when the server kept ahead of the devices.
 	DownloadStall time.Duration
 	// UploadStall is how long the server stage sat idle waiting for this
 	// round's uploads to be handed over — the mirror-image idle measure.
-	// 0 when the devices kept ahead of the server and in the synchronous
-	// engine.
+	// At PipelineDepth 0 it spans the round's local phase; at depth ≥ 1
+	// it is 0 when the devices kept ahead of the server.
 	UploadStall time.Duration
 	// ReplicaFaults lists devices the server dropped from this round's
 	// distillation or evaluation because their stored replica bytes failed
@@ -182,9 +165,9 @@ func (h History) MeanServerElapsed() time.Duration {
 	return total / time.Duration(len(h))
 }
 
-// TotalStalls sums the pipeline idle time over the run: how long local
+// TotalStalls sums the stage idle time over the run: how long local
 // phases waited on downloads and how long the server stage waited on
-// uploads. Both are 0 for a synchronous run.
+// uploads.
 func (h History) TotalStalls() (download, upload time.Duration) {
 	for _, m := range h {
 		download += m.DownloadStall

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/fedzkt/fedzkt/internal/codec"
+	"github.com/fedzkt/fedzkt/internal/fed"
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/tensor"
@@ -131,15 +132,23 @@ func TestQuantisedReadOnlyPhasesCauseNoDrift(t *testing.T) {
 		}
 		before[id] = b
 	}
-	// Replica evaluation is a read-only checkout of every slot.
-	srv.EvaluateReplicas(tinyDataset(31), 16, 2)
+	// A read-only checkout of every slot, each replica evaluated on it —
+	// the access teacher forwards make — then released.
+	ds := tinyDataset(31)
+	leases := srv.cohorts.checkout([]int{0, 1, 2, 3}, false, false)
+	for _, l := range leases {
+		fed.Evaluate(l.slot.module, ds, 16)
+	}
+	if err := srv.cohorts.release(leases); err != nil {
+		t.Fatal(err)
+	}
 	for id := range before {
 		after, _, err := srv.ReplicaPayload(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(before[id], after) {
-			t.Fatalf("read-only evaluation changed device %d slot bytes", id)
+			t.Fatalf("read-only checkout changed device %d slot bytes", id)
 		}
 	}
 }

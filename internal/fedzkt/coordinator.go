@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
-	"github.com/fedzkt/fedzkt/internal/chaos"
 	"github.com/fedzkt/fedzkt/internal/codec"
 	"github.com/fedzkt/fedzkt/internal/data"
 	"github.com/fedzkt/fedzkt/internal/fed"
@@ -103,19 +102,18 @@ type Config struct {
 	// values cap server memory at the cost of rebuilding modules when an
 	// iteration needs more replicas resident than the bound.
 	CohortReplicas int
-	// PipelineDepth selects the round engine and its bounded staleness.
-	// 0 (the default) is the paper-exact synchronous barrier: each round
-	// runs localPhase → absorb → distill → download to completion before
-	// the next round starts, byte-identical to the pre-pipeline
-	// coordinator. Depth D ≥ 1 runs the staged pipelined engine: round
-	// r+1's local phase launches on the scheduler as soon as round r's
-	// uploads are staged, while the server distills round r concurrently,
-	// with up to D server rounds outstanding. Devices then train on
-	// bounded-stale parameters — round r's local phase starts from the
-	// download published after round r−1−D — which diverges from the
-	// paper's barrier semantics but hides the server phase behind device
-	// work. For a fixed depth and seed, metrics are byte-identical across
-	// worker counts.
+	// PipelineDepth is the round engine's bounded staleness. 0 (the
+	// default) is the paper-exact barrier: round r+1's local phase waits
+	// for round r's downloads. Depth D ≥ 1 launches round r+1's local
+	// phase as soon as round r's uploads are staged, while the server
+	// distills round r concurrently, with up to D server rounds
+	// outstanding. Devices then train on bounded-stale parameters — round
+	// r's local phase starts from the download published after round
+	// r−1−D — which diverges from the paper's barrier semantics but hides
+	// the server phase behind device work. The same staged engine runs
+	// every depth, and DeviceAcc always scores the device models. For a
+	// fixed depth and seed, metrics are byte-identical across worker
+	// counts.
 	PipelineDepth int
 	// ReplicaStore bounds the hot set that holds the server's replica
 	// slots (every slot is a codec container either way): "memory" (also
@@ -628,12 +626,13 @@ func (c *Coordinator) Sampler() sched.Sampler { return c.sampler }
 // distillation progress, device epochs — is retained and the round is
 // re-run on top of it (see SaveCheckpoint).
 //
-// With PipelineDepth = 0 rounds execute the paper-exact synchronous
-// barrier; with depth ≥ 1 the staged pipelined engine (engine.go)
-// overlaps server distillation with the next round's local phase. ctx
-// cancellation stops at the next stage boundary — including between
-// distillation iterations — and returns the wrapped context error
-// alongside the history of fully finalised rounds.
+// Every PipelineDepth runs the staged round engine (engine.go): depth 0 is
+// the paper-exact barrier, and depth ≥ 1 overlaps server distillation
+// with the next rounds' local phases. Each round is finalised — device
+// accuracy, history, checkpoint — on the calling goroutine once its
+// downloads are applied. ctx cancellation stops at the next stage
+// boundary — including between distillation iterations — and returns the
+// wrapped context error alongside the history of fully finalised rounds.
 func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 	if c.cfg.Resume && !c.resumed {
 		c.resumed = true
@@ -643,17 +642,14 @@ func (c *Coordinator) Run(ctx context.Context) (fed.History, error) {
 	}
 	if c.nextRound > 1 && c.nextRound <= c.cfg.Rounds {
 		// Resuming mid-federation: a cancelled run may have left devices
-		// ahead of the last finalised round (several rounds ahead under
-		// the pipelined engine, with no downloads applied). Restart them
+		// ahead of the last finalised round (several rounds ahead at
+		// PipelineDepth ≥ 1, with no downloads applied). Restart them
 		// from the server's latest knowledge instead.
 		if err := c.reconcileDevices(); err != nil {
 			return nil, err
 		}
 	}
-	if c.cfg.PipelineDepth > 0 {
-		return c.runPipelined(ctx)
-	}
-	return c.runSync(ctx)
+	return c.runRounds(ctx)
 }
 
 // reconcileDevices installs every device's server replica state into the
@@ -698,108 +694,6 @@ func (c *Coordinator) roundSampler() *rand.Rand {
 	return roundRNG
 }
 
-// runSync is the synchronous round engine (PipelineDepth = 0): the four
-// stages of a round — localPhase, absorb, distill, download — run to
-// completion before the next round starts, exactly the paper's barrier.
-// Its arithmetic is pinned byte-for-byte by the determinism goldens.
-func (c *Coordinator) runSync(ctx context.Context) (fed.History, error) {
-	cfg := c.cfg
-	hist := make(fed.History, 0, cfg.Rounds)
-	roundRNG := c.roundSampler()
-	for round := c.nextRound; round <= cfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return hist, fmt.Errorf("fedzkt: run cancelled at round %d: %w", round, err)
-		}
-		// Chaos crash point: a process death before the round does any
-		// work — the recovery baseline (resume re-runs this round).
-		chaos.Crash(chaos.SiteCrashRoundStart)
-		start := time.Now()
-		m := fed.RoundMetrics{Round: round}
-		roundSpan := tracer().Begin("fed", "round").WithRound(round)
-
-		// 1. Select this round's participants (client-sampling policy).
-		active := c.sampler.Sample(len(c.devices), roundRNG)
-		m.Active = active
-
-		// 2. On-device updates on the scheduler (Algorithm 2), then
-		// upload. Devices that miss the deadline or are failure-injected
-		// drop out of this round's aggregation.
-		localStart := time.Now()
-		localSpan := tracer().Begin("fed", "local_phase").WithRound(round).WithParent(roundSpan.ID())
-		completed, uploads, err := c.localPhase(ctx, round, active, &m)
-		localSpan.End()
-		if err != nil {
-			roundSpan.End()
-			return hist, err
-		}
-		m.LocalElapsed = time.Since(localStart)
-		if err := ctx.Err(); err != nil {
-			roundSpan.End()
-			return hist, fmt.Errorf("fedzkt: run cancelled at round %d: %w", round, err)
-		}
-		if err := c.absorbUploads(completed, uploads); err != nil {
-			roundSpan.End()
-			return hist, err
-		}
-		m.Absorbed = len(completed)
-
-		// 3. Server update (Algorithm 3).
-		serverStart := time.Now()
-		distillSpan := tracer().Begin("fed", "server_distill").WithRound(round).WithParent(roundSpan.ID())
-		gn, err := c.server.Distill(ctx, round)
-		distillSpan.End()
-		if err != nil {
-			roundSpan.End()
-			return hist, fmt.Errorf("fedzkt: round %d: %w", round, err)
-		}
-		m.ServerElapsed = time.Since(serverStart)
-		m.InputGradNorm = gn
-
-		// 4. Download: devices that completed the round receive their own
-		// updated parameters (stragglers keep stale models).
-		for _, id := range completed {
-			p, numel, err := c.server.ReplicaPayload(id)
-			if err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			if err := c.applyDownload(id, p); err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			m.BytesDown += fed.WireBytes(numel, c.codec.Width())
-		}
-
-		// 5. Evaluate.
-		if round%cfg.EvalEvery == 0 || round == cfg.Rounds {
-			evalSpan := tracer().Begin("fed", "evaluate").WithRound(round).WithParent(roundSpan.ID())
-			m.GlobalAcc = c.server.EvaluateGlobal(c.ds)
-			m.DeviceAcc, err = c.deviceAccs()
-			evalSpan.End()
-			if err != nil {
-				roundSpan.End()
-				return hist, err
-			}
-			m.MeanDeviceAcc = fed.Mean(m.DeviceAcc)
-		}
-		c.finishRoundStats(&m)
-		m.Elapsed = time.Since(start)
-		roundSpan.End()
-		c.metrics.observeRound(&m)
-		hist = append(hist, m)
-		c.hist = append(c.hist, m)
-		c.nextRound = round + 1
-		if err := c.maybeCheckpoint(round); err != nil {
-			return hist, err
-		}
-		// Chaos crash point: a process death at the finalised round
-		// boundary, after the durable checkpoint — the resume from here
-		// must replay the rest of the run bit-exactly.
-		chaos.Crash(chaos.SiteCrashRoundEnd)
-	}
-	return hist, nil
-}
-
 // finishRoundStats folds the round's replica-store activity into its
 // metrics: the delta of the server store's counters since the last round
 // boundary, plus the drained replica-fault ids. None of these fields are
@@ -821,6 +715,11 @@ func (c *Coordinator) finishRoundStats(m *fed.RoundMetrics) {
 	m.ReplicaFaults = c.server.TakeReplicaFaults()
 }
 
+// evaluated reports whether round is an evaluation round.
+func (c *Coordinator) evaluated(round int) bool {
+	return round%c.cfg.EvalEvery == 0 || round == c.cfg.Rounds
+}
+
 // evalIDs returns the device ids per-device evaluation covers: every
 // device, or the deterministic EvalDevices-long prefix in the scale
 // regime.
@@ -836,8 +735,8 @@ func (c *Coordinator) evalIDs() []int {
 	return ids
 }
 
-// deviceAccs evaluates per-device test accuracy for the synchronous
-// engine: live device models directly, or — in virtual mode —
+// deviceAccs evaluates per-device test accuracy on the device models:
+// live models directly, or — in virtual mode —
 // materialised copies of each evaluated device's stored state (its last
 // download, or the seeded initial state when virgin), which is exactly
 // what the live model would hold at this round boundary.
@@ -900,9 +799,8 @@ func (c *Coordinator) applyDownload(id int, p []byte) error {
 // together with their uploaded states in wire form — codec containers
 // encoded with the run's codec, exactly the bytes a real uplink would
 // carry — in ascending-id order. The uploads
-// are staged for the server but not yet absorbed: the synchronous engine
-// absorbs them immediately, the pipelined engine hands them to the
-// server stage so they cannot race an in-flight distillation. Each task
+// are staged for the server but not yet absorbed: the engine hands them to
+// the server stage so they cannot race an in-flight distillation. Each task
 // touches only its own device, so the round's outcome is identical for
 // any worker count.
 func (c *Coordinator) localPhase(ctx context.Context, round int, active []int, m *fed.RoundMetrics) ([]int, [][]byte, error) {
@@ -988,16 +886,6 @@ func (c *Coordinator) absorbUploads(completed []int, uploads [][]byte) error {
 	for i, id := range completed {
 		if err := c.server.AbsorbPayload(id, uploads[i]); err != nil {
 			return fmt.Errorf("fedzkt: upload device %d: %w", id, err)
-		}
-	}
-	return nil
-}
-
-// applyDownloads installs a published download batch into its devices.
-func (c *Coordinator) applyDownloads(db downloadBatch) error {
-	for i, id := range db.ids {
-		if err := c.applyDownload(id, db.states[i]); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -203,25 +203,24 @@ func (c *Coordinator) History() fed.History {
 	return append(fed.History(nil), c.hist...)
 }
 
-// maybeCheckpoint writes a durable checkpoint after a finalised round
-// when the configuration asks for one. The chaos crash points bracket
-// the write: crash.ckpt.pre dies with the previous checkpoint as the
-// rollback target, crash.ckpt.post dies with the new file already
-// durable.
-func (c *Coordinator) maybeCheckpoint(round int) error {
+// checkpointDue reports whether the configuration asks for a durable
+// checkpoint after round.
+func (c *Coordinator) checkpointDue(round int) bool {
 	cfg := c.cfg
-	if cfg.CheckpointDir == "" {
-		return nil
-	}
-	if round%cfg.CheckpointEvery != 0 && round != cfg.Rounds {
-		return nil
-	}
+	return cfg.CheckpointDir != "" && (round%cfg.CheckpointEvery == 0 || round == cfg.Rounds)
+}
+
+// writeCheckpoint writes the durable checkpoint of finalised round round.
+// The chaos crash points bracket the write: crash.ckpt.pre dies with the
+// previous checkpoint as the rollback target, crash.ckpt.post dies with
+// the new file already durable.
+func (c *Coordinator) writeCheckpoint(round int) error {
 	chaos.Crash(chaos.SiteCrashCkptPre)
 	var buf bytes.Buffer
 	if err := c.SaveCheckpoint(&buf); err != nil {
 		return err
 	}
-	if _, err := SaveCheckpointFile(cfg.CheckpointDir, round, buf.Bytes(), cfg.KeepCheckpoints); err != nil {
+	if _, err := SaveCheckpointFile(c.cfg.CheckpointDir, round, buf.Bytes(), c.cfg.KeepCheckpoints); err != nil {
 		return err
 	}
 	chaos.Crash(chaos.SiteCrashCkptPost)

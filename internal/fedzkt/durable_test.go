@@ -241,6 +241,7 @@ func TestCrashResumeFingerprintIdentity(t *testing.T) {
 		t.Error("run returned instead of crashing")
 	}()
 	chaos.Deactivate()
+	assertNoEngineGoroutines(t)
 
 	// "Process" two: a fresh coordinator, chaos disarmed (a restarted
 	// process starts with zeroed hit counters anyway), resumes from the
@@ -260,6 +261,67 @@ func TestCrashResumeFingerprintIdentity(t *testing.T) {
 	}
 	if got := full.Fingerprint(); got != want {
 		t.Fatalf("crash-resumed run diverged from the uninterrupted run:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestCrashResumePipelined is the crash-recovery soak at PipelineDepth 1:
+// the round-end crash point fires on the calling goroutine (where the
+// panicking handler is recovered) while the server stage is already
+// distilling round 3, and the resume re-runs exactly the first round the
+// crashed run had not finalised. A pipelined resume is consistent, not a
+// replay, so this pins round coverage rather than byte identity.
+func TestCrashResumePipelined(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.CheckpointDir = t.TempDir()
+	cfg.PipelineDepth = 1
+
+	type crashed struct{ site string }
+	prev := chaos.SetCrashHandler(func(site string) { panic(crashed{site}) })
+	defer chaos.SetCrashHandler(prev)
+	plan, err := chaos.Parse("seed=5;crash.round.end=on:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos.Activate(plan)
+	var crashedHist fed.History
+	func() {
+		c := durableCoordinator(t, cfg)
+		defer func() {
+			r := recover()
+			if cr, ok := r.(crashed); !ok || cr.site != chaos.SiteCrashRoundEnd {
+				t.Fatalf("want a %q crash panic on the calling goroutine, got %v", chaos.SiteCrashRoundEnd, r)
+			}
+			crashedHist = c.History()
+		}()
+		_, _ = c.Run(context.Background())
+		t.Error("run returned instead of crashing")
+	}()
+	chaos.Deactivate()
+	assertNoEngineGoroutines(t)
+	if len(crashedHist) != 2 {
+		t.Fatalf("crashed run finalised %d rounds, want 2", len(crashedHist))
+	}
+
+	cfg.Resume = true
+	rc := durableCoordinator(t, cfg)
+	hist, err := rc.Run(context.Background())
+	if err != nil {
+		t.Fatalf("resume run: %v", err)
+	}
+	if len(hist) != 1 || hist[0].Round != 3 {
+		t.Fatalf("resume re-ran rounds %v, want exactly round 3", hist)
+	}
+	full := rc.History()
+	if len(full) != cfg.Rounds {
+		t.Fatalf("resumed history has %d rounds, want %d", len(full), cfg.Rounds)
+	}
+	for i, m := range full {
+		if m.Round != i+1 || len(m.DeviceAcc) != 2 {
+			t.Fatalf("resumed history position %d holds round %d with %d device accuracies", i, m.Round, len(m.DeviceAcc))
+		}
+	}
+	if got, want := full[:2].Fingerprint(), crashedHist.Fingerprint(); got != want {
+		t.Fatalf("checkpointed rounds changed across the resume:\n got %q\nwant %q", got, want)
 	}
 }
 

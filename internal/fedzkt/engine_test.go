@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,9 +89,9 @@ func TestDistillCancelledMidPhase(t *testing.T) {
 }
 
 // cancellationRun starts a run shaped so that phase `shape` dominates the
-// wall time, cancels it mid-flight, and asserts the satellite contract:
-// a wrapped context.Canceled and a consistent partial history (a
-// contiguous, fully finalised prefix of rounds).
+// wall time, cancels it mid-flight, and asserts the cancellation contract:
+// a wrapped context.Canceled, a consistent partial history (a contiguous,
+// fully finalised prefix of rounds) and no engine goroutine left behind.
 func cancellationRun(t *testing.T, shape string, mutate func(*Config)) {
 	t.Helper()
 	ds := data.MustMake(data.Config{
@@ -131,6 +133,7 @@ func cancellationRun(t *testing.T, shape string, mutate func(*Config)) {
 	if len(hist) >= cfg.Rounds {
 		t.Fatalf("cancelled run finalised all %d rounds", len(hist))
 	}
+	assertNoEngineGoroutines(t)
 	for i, m := range hist {
 		if m.Round != i+1 {
 			t.Fatalf("partial history not contiguous: position %d holds round %d", i, m.Round)
@@ -147,7 +150,7 @@ func cancellationRun(t *testing.T, shape string, mutate func(*Config)) {
 }
 
 // TestRunCancelledDuringLocalPhase cancels a run whose wall time is
-// dominated by on-device training, in both engines.
+// dominated by on-device training, at the barrier and pipelined.
 func TestRunCancelledDuringLocalPhase(t *testing.T) {
 	t.Run("sync", func(t *testing.T) { cancellationRun(t, "local", nil) })
 	t.Run("pipelined", func(t *testing.T) {
@@ -156,8 +159,8 @@ func TestRunCancelledDuringLocalPhase(t *testing.T) {
 }
 
 // TestRunCancelledDuringDistillation cancels a run whose wall time is
-// dominated by server distillation, in both engines — before this PR a
-// 120-iteration distill ignored the cancellation until the round ended.
+// dominated by server distillation, at the barrier and pipelined: a
+// 120-iteration distill must stop between iterations, not at round end.
 func TestRunCancelledDuringDistillation(t *testing.T) {
 	t.Run("sync", func(t *testing.T) { cancellationRun(t, "distill", nil) })
 	t.Run("pipelined", func(t *testing.T) {
@@ -165,9 +168,9 @@ func TestRunCancelledDuringDistillation(t *testing.T) {
 	})
 }
 
-// TestPipelinedRunCompletes checks the pipelined engine's end-to-end
-// contract on a clean run: every round finalised in order with the same
-// accounting invariants as the synchronous engine, and — after the final
+// TestPipelinedRunCompletes checks the engine's end-to-end contract on a
+// clean pipelined run: every round finalised in order with byte and phase
+// accounting, and — after the final
 // drain — every device that completed the last round holding exactly the
 // replica state the server published for it.
 func TestPipelinedRunCompletes(t *testing.T) {
@@ -221,43 +224,38 @@ func TestPipelinedRunCompletes(t *testing.T) {
 	}
 }
 
-// TestEvaluateReplicas checks the pipelined evaluation path: identical
-// results for any worker count, and agreement with the synchronous
-// device-model evaluation for devices that completed the last round
-// (their post-download model is bit-identical to the replica).
-func TestEvaluateReplicas(t *testing.T) {
+// TestDeviceAccIsOnDeviceModel pins the single meaning of DeviceAcc: at
+// every depth the final round's per-device accuracy is that of the device
+// models as Run leaves them, including devices that sat the round out
+// (whose server replicas transfer-back moved on without them).
+func TestDeviceAccIsOnDeviceModel(t *testing.T) {
 	ds := tinyDataset(41)
 	shards := partition.IID(ds.NumTrain(), 4, tensor.NewRand(42))
-	cfg := tinyConfig()
-	cfg.Rounds = 1
-	cfg.DistillIters = 3
-	co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := co.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := co.Server().EvaluateReplicas(ds, 64, 1)
-	if len(ref) != 4 {
-		t.Fatalf("got %d replica accuracies, want 4", len(ref))
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got := co.Server().EvaluateReplicas(ds, 64, workers)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: replica %d accuracy %v != %v", workers, i, got[i], ref[i])
+	for _, depth := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.DistillIters = 3
+			cfg.ActiveFraction = 0.5
+			cfg.PipelineDepth = depth
+			co, err := New(cfg, ds, []string{"mlp", "lenet-s"}, shards)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// All four devices were active with no deadline/failure config, so
-	// every device model equals its replica post-download.
-	devAcc := hist[len(hist)-1].DeviceAcc
-	for i := range ref {
-		if ref[i] != devAcc[i] {
-			t.Fatalf("replica %d accuracy %v != device accuracy %v", i, ref[i], devAcc[i])
-		}
+			hist, err := co.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := hist[len(hist)-1].DeviceAcc
+			want := fed.EvaluateAllParallel(co.Devices(), ds, 64, 1)
+			if len(got) != len(want) {
+				t.Fatalf("final round has %d device accuracies, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("device %d: final DeviceAcc %v, its model after Run scores %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -378,7 +376,7 @@ func TestInMemoryResumeAfterCancellation(t *testing.T) {
 }
 
 // TestPipelinedHidesServerPhase is the overlap smoke: with a non-trivial
-// server phase, depth 1 must spend less wall time than the synchronous
+// server phase, depth 1 must spend less wall time than the depth-0
 // barrier on the same configuration — when there is a second core to
 // hide it on. On a single core both engines serialise the same CPU work,
 // so the assertion degrades to "the pipeline costs nothing". Guarded by
@@ -419,5 +417,24 @@ func TestPipelinedHidesServerPhase(t *testing.T) {
 	// time, on any core count. The margin absorbs scheduler noise.
 	if pipedTime > syncTime*23/20 {
 		t.Fatalf("depth 1 (%v) costs wall time over sync (%v)", pipedTime, syncTime)
+	}
+}
+
+// assertNoEngineGoroutines fails the test if a round-engine goroutine
+// outlives Run. The server stage's goroutine closes its done channel just
+// before it exits, so a brief grace period is allowed.
+func assertNoEngineGoroutines(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "fedzkt.(*engine).serve") &&
+			!strings.Contains(stacks, "fedzkt.(*Coordinator).runRounds.func") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a round-engine goroutine outlived Run:\n%s", stacks)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

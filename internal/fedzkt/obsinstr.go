@@ -80,7 +80,7 @@ func newFedMetrics(reg *obs.Registry, srv *Server) *fedMetrics {
 }
 
 // observeRound folds one finalised round's metrics into the registry.
-// Called by both engines after the round's RoundMetrics is complete.
+// Called by the round engine as each round is finalised.
 func (fm *fedMetrics) observeRound(m *fed.RoundMetrics) {
 	if fm == nil {
 		return

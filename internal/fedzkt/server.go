@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 
 	"github.com/fedzkt/fedzkt/internal/ag"
@@ -679,52 +678,4 @@ func (s *Server) transferBackPhase(ctx context.Context, round int) (err error) {
 // EvaluateGlobal reports F's test accuracy on ds.
 func (s *Server) EvaluateGlobal(ds *data.Dataset) float64 {
 	return fed.EvaluateArena(s.global, ds, 64, s.phase)
-}
-
-// EvaluateReplicas reports the test accuracy of every registered device's
-// server-side replica state, in device-id order. The pipelined round
-// engine evaluates replicas instead of the live device models, which may
-// already be training a later round: the replica after round r's
-// transfer-back is exactly what round r's download delivers, so for every
-// device that completed the round this matches the synchronous engine's
-// post-download device accuracy (stragglers are evaluated at their
-// distilled replica rather than their stale local model).
-func (s *Server) EvaluateReplicas(ds *data.Dataset, batchSize, workers int) []float64 {
-	return s.EvaluateReplicaSubset(ds, batchSize, workers, s.cohorts.allIDs())
-}
-
-// EvaluateReplicaSubset reports the test accuracy of the given devices'
-// server-side replica states, in ids order (the scale regime evaluates a
-// deterministic subset instead of a million replicas).
-//
-// Replicas are decoded into pooled live modules in bounded chunks of
-// workers (0 = GOMAXPROCS) and evaluated concurrently within a chunk —
-// with the next chunk prefetching from the slot store meanwhile — so
-// the cohort pools never grow beyond the chunk size on account of
-// evaluation. Accuracy depends only on the stored states, so the result
-// is identical for any worker count. A member whose replica fails to load
-// reports zero accuracy (and a recorded fault).
-func (s *Server) EvaluateReplicaSubset(ds *data.Dataset, batchSize, workers int, ids []int) []float64 {
-	n := len(ids)
-	accs := make([]float64, n)
-	chunk := workers
-	if chunk <= 0 {
-		chunk = runtime.GOMAXPROCS(0)
-	}
-	s.ensureWorkerArenas(sched.EffectiveWorkers(chunk, workers))
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		if hi < n {
-			s.cohorts.prefetch(ids[hi:min(hi+chunk, n)])
-		}
-		leases := s.cohorts.checkout(ids[lo:hi], false, false)
-		sched.ForEachWorker(hi-lo, workers, func(i, w int) {
-			if leases[i] == nil {
-				return // faulted member: dropped from this eval
-			}
-			accs[lo+i] = fed.EvaluateArena(leases[i].slot.module, ds, batchSize, s.workerArenas[w])
-		})
-		_ = s.cohorts.release(leases) // read-only: cannot fail
-	}
-	return accs
 }

@@ -85,6 +85,14 @@ func TestFractionTable(t *testing.T) {
 			t.Fatalf("NewFraction(%v) accepted", bad)
 		}
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("sampling an empty population did not panic")
+			}
+		}()
+		Fraction{P: 1}.Sample(0, tensor.NewRand(9))
+	}()
 }
 
 func TestWeightedByDataTable(t *testing.T) {

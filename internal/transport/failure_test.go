@@ -31,6 +31,50 @@ func failureServer(t *testing.T) *Server {
 	return srv
 }
 
+// TestNewServerRejectsUnsupportedFedFields: every fedzkt.Config field the
+// networked round loop does not implement is rejected by name instead of
+// silently ignored, and a bad active fraction is an error, not a panic.
+func TestNewServerRejectsUnsupportedFedFields(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*fedzkt.Config)
+	}{
+		{"SampleK", func(c *fedzkt.Config) { c.SampleK = 4 }},
+		{"SampleWeighted", func(c *fedzkt.Config) { c.SampleWeighted = true }},
+		{"PipelineDepth", func(c *fedzkt.Config) { c.PipelineDepth = 1 }},
+		{"RoundDeadline", func(c *fedzkt.Config) { c.RoundDeadline = time.Second }},
+		{"FailureRate", func(c *fedzkt.Config) { c.FailureRate = 0.1 }},
+		{"VirtualDevices", func(c *fedzkt.Config) { c.VirtualDevices = true }},
+		{"CheckpointDir", func(c *fedzkt.Config) { c.CheckpointDir = t.TempDir() }},
+		{"Resume", func(c *fedzkt.Config) { c.Resume = true }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := fedzkt.Config{Rounds: 1, Seed: 1}
+			tc.set(&cfg)
+			if err := newServerErr(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("NewServer with Fed.%s set: error %v, want one naming the field", tc.field, err)
+			}
+		})
+	}
+	if err := newServerErr(fedzkt.Config{Rounds: 1, Seed: 1, ActiveFraction: 1.5}); err == nil {
+		t.Fatal("NewServer accepted active fraction 1.5")
+	}
+}
+
+// newServerErr builds a 1-device server from fed and returns NewServer's
+// error, closing the server if it was built.
+func newServerErr(fed fedzkt.Config) error {
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumDevices: 1,
+		Sizes: data.Sizes{TrainPerClass: 4, TestPerClass: 2},
+		Fed:   fed,
+	})
+	if err == nil {
+		srv.Close()
+	}
+	return err
+}
+
 // TestServerRejectsBogusArchitecture: a device announcing an unknown
 // architecture must fail the run with a clear error, not hang.
 func TestServerRejectsBogusArchitecture(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"github.com/fedzkt/fedzkt/internal/model"
 	"github.com/fedzkt/fedzkt/internal/nn"
 	"github.com/fedzkt/fedzkt/internal/obs"
+	"github.com/fedzkt/fedzkt/internal/sched"
 	"github.com/fedzkt/fedzkt/internal/tensor"
 )
 
@@ -57,9 +58,9 @@ type ServerConfig struct {
 	// StalenessBound is how many rounds late an upload may arrive and
 	// still be absorbed into the next teacher window (via the server's
 	// replica-absorb path — the same bounded-staleness contract the
-	// pipelined engine defines). 0 drops every late upload; late and
-	// dropped uploads are acknowledged either way so devices can clear
-	// their replay buffers.
+	// coordinator's PipelineDepth defines). 0 drops every late upload;
+	// late and dropped uploads are acknowledged either way so devices can
+	// clear their replay buffers.
 	StalenessBound int
 }
 
@@ -95,6 +96,9 @@ type Server struct {
 	ln     net.Listener
 	key    []byte
 	shards [][]int
+	// sampler is the paper's active-fraction straggler model, shared with
+	// the in-process coordinator.
+	sampler sched.Fraction
 
 	// events feeds every connection's reader (messages, attach/detach
 	// notifications) into the central round loop.
@@ -123,9 +127,35 @@ type pendingInstall struct {
 	weight int
 }
 
+// unsupportedFed rejects the fedzkt.Config fields only the in-process
+// coordinator implements, so a networked run never silently ignores one.
+func unsupportedFed(c fedzkt.Config) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"SampleK", c.SampleK != 0},
+		{"SampleWeighted", c.SampleWeighted},
+		{"PipelineDepth", c.PipelineDepth != 0},
+		{"RoundDeadline", c.RoundDeadline != 0},
+		{"FailureRate", c.FailureRate != 0},
+		{"VirtualDevices", c.VirtualDevices},
+		{"CheckpointDir", c.CheckpointDir != ""},
+		{"Resume", c.Resume},
+	} {
+		if f.set {
+			return fmt.Errorf("transport: fedzkt.Config.%s is not supported by the networked server", f.name)
+		}
+	}
+	return nil
+}
+
 // NewServer builds the server and starts listening; call Run to serve.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
+	if err := unsupportedFed(cfg.Fed); err != nil {
+		return nil, err
+	}
 	ds, ok := data.ByName(cfg.DatasetName, cfg.Sizes, cfg.Fed.Seed)
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown dataset %q", cfg.DatasetName)
@@ -133,6 +163,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	core, err := fedzkt.NewServer(cfg.Fed, model.Shape{C: ds.C, H: ds.H, W: ds.W}, ds.Classes)
 	if err != nil {
 		return nil, err
+	}
+	sampler, err := sched.NewFraction(core.Config().ActiveFraction)
+	if err != nil {
+		_ = core.Close()
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	// Deterministic shard assignment, mirroring the simulator.
 	shards, err := shardsFor(ds, cfg.NumDevices, cfg.Partition, core.Config().Seed)
@@ -154,6 +189,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ln:          ln,
 		key:         key,
 		shards:      shards,
+		sampler:     sampler,
 		events:      make(chan inbound, 4*cfg.NumDevices+16),
 		regProgress: make(chan struct{}, cfg.NumDevices),
 		fatal:       make(chan error, 1),
@@ -491,7 +527,7 @@ func (s *Server) roundLoop(ctx context.Context) (fed.History, error) {
 		start := time.Now()
 		roundSpan := tracer().Begin("transport", "round").WithRound(round)
 		m := fed.RoundMetrics{Round: round}
-		active := fed.SampleActive(cfg.NumDevices, fedCfg.ActiveFraction, roundRNG)
+		active := s.sampler.Sample(cfg.NumDevices, roundRNG)
 		m.Active = active
 		isActive := make([]bool, cfg.NumDevices)
 		for _, id := range active {
